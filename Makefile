@@ -42,6 +42,11 @@ bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkBlast' -benchmem ./internal/bv/
 	$(GO) test -run xxx -bench 'BenchmarkIncrementalAssumptions' -benchmem ./internal/sat/
 
+# The dcbench smoke targets below all run -quick, which writes the rows
+# and metrics into a fresh temporary directory (dcbench prints its path)
+# rather than over the committed full-scale BENCH_*.json files; only the
+# experiments targets regenerate those.
+
 # CI gate for incremental validation: runs the E16 experiment at its
 # smallest sweep point (520 devices) with the soundness gate on — any
 # device whose table changes outside the computed blast radius, or any
@@ -80,8 +85,9 @@ conflint-smoke:
 # topology, issue conformance + reachability queries over HTTP, require
 # repeat queries to land as dcv_serve_cache_hits_total increments with
 # zero extra sweeps, then run E19 at its quick point with the
-# byte-identity gate armed (sharded merged report vs single-engine sweep
-# for N in {1,2,5}). See scripts/serve_smoke.sh.
+# byte-identity gate armed (the engine's ValidateDelta with N in {1,2,5}
+# shards vs a from-scratch single-engine sweep). See
+# scripts/serve_smoke.sh.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -111,7 +117,8 @@ fuzz:
 	$(GO) test -fuzz FuzzPECDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzArenaDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 
-# Regenerate every paper experiment (see DESIGN.md / EXPERIMENTS.md).
+# Regenerate every paper experiment (see DESIGN.md / EXPERIMENTS.md) and
+# the committed BENCH_*.json artifacts in the working directory.
 experiments:
 	$(GO) run ./cmd/dcbench
 

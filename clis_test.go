@@ -19,6 +19,7 @@ func TestCLIs(t *testing.T) {
 	dir := t.TempDir()
 	run := func(args ...string) (string, error) {
 		cmd := exec.Command("go", append([]string{"run"}, args...)...)
+		cmd.Env = append(os.Environ(), "TMPDIR="+dir) // dcbench -quick writes here
 		out, err := cmd.CombinedOutput()
 		return string(out), err
 	}
@@ -177,13 +178,18 @@ func TestCLIs(t *testing.T) {
 		}
 	})
 
+	// -quick keeps the run's artifacts out of the working tree, where
+	// the committed BENCH_*.json files live.
 	t.Run("dcbench-e5", func(t *testing.T) {
-		out, err := run("./cmd/dcbench", "-e", "e5")
+		out, err := run("./cmd/dcbench", "-e", "e5", "-quick")
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		if !strings.Contains(out, "reachability failures: 0") {
 			t.Errorf("E5 output unexpected:\n%s", out)
+		}
+		if !strings.Contains(out, "-quick artifacts go to") {
+			t.Errorf("dcbench -quick did not report its artifact directory:\n%s", out)
 		}
 	})
 }

@@ -11,7 +11,10 @@
 // E4, E16, E17, E18, E19, and E20 additionally write their
 // machine-readable rows to BENCH_solver.json, BENCH_incremental.json,
 // BENCH_explore.json, BENCH_conflint.json, BENCH_serve.json, and
-// BENCH_pec.json in the current directory; e4s is the CI solver-perf
+// BENCH_pec.json in the current directory. A -quick run writes them, and
+// a relative -metrics-out file, into a fresh temporary directory instead
+// and prints its path, so smoke runs never overwrite the committed
+// full-scale artifacts; e4s is the CI solver-perf
 // smoke (panics when the SMT engine regresses past a generous per-contract
 // ceiling or disagrees with the trie engine); e17 carries its own panic
 // gates (pruned-vs-brute divergence, pruning-ratio floor, minimal-set
@@ -35,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -44,10 +48,18 @@ import (
 	"dcvalidate/internal/obs"
 )
 
+// outDir is where relative artifact paths resolve: the working directory,
+// or a fresh temporary directory for -quick runs.
+var outDir = "."
+
 // writeJSON serializes an experiment's machine-readable rows next to the
 // human tables; dcbench exits non-zero when the artifact can't be
 // written, matching the panic-on-error convention of the experiments.
-func writeJSON(path string, rows any) {
+// It returns the path written.
+func writeJSON(path string, rows any) string {
+	if !filepath.IsAbs(path) {
+		path = filepath.Join(outDir, path)
+	}
 	raw, err := json.MarshalIndent(rows, "", "  ")
 	if err == nil {
 		err = os.WriteFile(path, raw, 0o644)
@@ -56,6 +68,7 @@ func writeJSON(path string, rows any) {
 		fmt.Fprintf(os.Stderr, "dcbench: writing %s: %v\n", path, err)
 		os.Exit(1)
 	}
+	return path
 }
 
 // phaseMetrics is one -metrics-out entry: the registry movement
@@ -125,6 +138,15 @@ func main() {
 		e18Sizes = []int{136}
 		e19Sizes = []int{520}
 		e20Sizes = []int{520}
+	}
+	if *quick {
+		dir, err := os.MkdirTemp("", "dcbench-quick-")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
+			os.Exit(1)
+		}
+		outDir = dir
+		fmt.Printf("dcbench: -quick artifacts go to %s\n", dir)
 	}
 	if *full {
 		e2Sizes = append(e2Sizes, 10000)
@@ -214,15 +236,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *metricsOut != "" {
-		raw, err := json.MarshalIndent(phases, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metricsOut, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: writing %s: %v\n", *metricsOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("dcbench: wrote per-experiment metrics for %d experiment(s) to %s\n", ran, *metricsOut)
+		path := writeJSON(*metricsOut, phases)
+		fmt.Printf("dcbench: wrote per-experiment metrics for %d experiment(s) to %s\n", ran, path)
 	}
 }
 

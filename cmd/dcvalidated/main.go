@@ -5,12 +5,14 @@
 // O(1) cache hit with zero revalidation work (watch
 // dcv_serve_cache_hits_total climb on repeats).
 //
-// With -shards N, full-fleet sweeps are partitioned across N validator
-// shards coordinated by consistent hashing over the Clos pod structure
-// with work stealing; merged reports are byte-identical to single-engine
-// sweeps.
+// With -shards N, the devices each cache refresh revalidates — the whole
+// fleet at boot, the blast radius of a change afterwards — run across N
+// validator shards placed by consistent hashing over the Clos pod
+// structure, with work stealing. The engine still plans each refresh,
+// picks its checker and splices the results into its one cached report,
+// so answers are byte-identical to a single-engine server's.
 //
-// The -engine flag swaps the verification engine behind every sweep —
+// The -engine flag swaps the verification engine behind every refresh —
 // trie (default), smt, or pec (packet equivalence classes) — without
 // changing any verdict.
 //
@@ -69,7 +71,6 @@ func main() {
 	}
 	eng := engine.New(topo, nil)
 	eng.Metrics() // instrument before the coordinator is built
-	// Set the default engine before sharding so the coordinator inherits it.
 	eng.SetDefaultEngine(kind)
 	if *shards > 0 {
 		eng.EnableSharding(*shards)

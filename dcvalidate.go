@@ -352,7 +352,6 @@ type ValidateOptions struct {
 func (o ValidateOptions) engineOptions() engine.Options {
 	return engine.Options{
 		Engine:  o.Engine.engineKind(),
-		SMT:     o.Engine == EngineSMT,
 		Exact:   o.Exact,
 		Workers: o.Workers,
 		Source:  o.Source,
@@ -381,7 +380,9 @@ func (d *Datacenter) Validate(opts ValidateOptions) (*Report, error) {
 //
 // Repeated calls amortize work through a persistent table-cached FIB
 // source and a memoized contract generator (unless opts.Source overrides
-// the source). Config edits must go through SetDeviceConfig to be seen.
+// the source); with EnableSharding the revalidated devices run on the
+// validator shards instead. Config edits must go through SetDeviceConfig
+// to be seen.
 func (d *Datacenter) ValidateDelta(prev *Report, opts ValidateOptions) (*Report, error) {
 	return d.eng.ValidateDelta(prev, opts.engineOptions())
 }
@@ -464,17 +465,20 @@ func (d *Datacenter) QueryViolations() ([]Violation, uint64, error) {
 	return d.eng.QueryViolations()
 }
 
-// SetDefaultEngine makes every run that doesn't name an engine in its
-// ValidateOptions — including the serving path's cache refreshes — use
-// the given one. Call it before EnableSharding so the shard coordinator
-// inherits the choice.
+// SetDefaultEngine sets the engine the serving path's cache refreshes
+// (QueryDevice, Summary, QueryViolations) validate with, sharded or not;
+// the next query revalidates through it. Validate and ValidateDelta are
+// unaffected: their ValidateOptions always name an engine (the zero
+// value is EngineTrie).
 func (d *Datacenter) SetDefaultEngine(e Engine) { d.eng.SetDefaultEngine(e.engineKind()) }
 
-// EnableSharding partitions full-fleet sweeps across n validator shards
-// coordinated by consistent hashing over the Clos pod structure with
-// work stealing. Sharded sweeps are byte-identical (modulo timing) to
-// single-engine sweeps. Call Metrics() first to observe the shard
-// counters.
+// EnableSharding runs the delta path's device sets — serving refreshes,
+// and ValidateDelta calls without a Source override — across n
+// validator shards placed by consistent hashing over the Clos pod
+// structure, with work stealing. Planning, engine choice and splicing
+// stay with the datacenter, so sharded reports are byte-identical
+// (modulo timing) to single-engine ones. Validate is never sharded.
+// Call Metrics() first to observe the shard counters.
 func (d *Datacenter) EnableSharding(n int) { d.eng.EnableSharding(n) }
 
 // DisableSharding restores single-engine sweeps.

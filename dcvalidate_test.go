@@ -170,3 +170,30 @@ func TestFacadeValidateOptionsExact(t *testing.T) {
 		t.Errorf("exact (%d) should flag more than subset (%d)", exact.Failures, sub.Failures)
 	}
 }
+
+// TestSetDefaultEngineAfterSharding: the default engine is resolved per
+// run, so SetDefaultEngine governs the next sharded serving refresh even
+// when called after EnableSharding.
+func TestSetDefaultEngineAfterSharding(t *testing.T) {
+	dc := fig3DC(t)
+	reg := dc.Metrics()
+	dc.EnableSharding(2)
+	dc.SetDefaultEngine(EnginePEC)
+	s, err := dc.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Shards != 2 || s.Devices != len(dc.Topo.Devices) {
+		t.Fatalf("summary = %+v", s)
+	}
+	lookups := 0.0
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == "dcv_pec_shape_total" {
+			lookups += smp.Value
+		}
+	}
+	if lookups != float64(len(dc.Topo.Devices)) {
+		t.Fatalf("PEC shape lookups = %v, want one per device (%d): the sharded refresh did not run PEC",
+			lookups, len(dc.Topo.Devices))
+	}
+}

@@ -109,3 +109,50 @@ func TestFacadeConcurrentUse(t *testing.T) {
 		t.Fatalf("restored fleet still violating: %+v", s)
 	}
 }
+
+// TestQueryReachConcurrentCached pins that cached reachability queries
+// are read-only: after one warming query, concurrent QueryReach calls
+// answer under the engine's read lock from the same global snapshot,
+// whose per-device FIB tries are built lazily on first lookup. Under
+// -race this fails if that lazy build is an unsynchronized write.
+func TestQueryReachConcurrentCached(t *testing.T) {
+	dc, err := dcvalidate.NewDatacenter(dcvalidate.TopologyParams{
+		Clusters: 2, ToRsPerCluster: 4, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 2, RSLinksPerSpine: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tors := dc.Topo.ToRs()
+	name := func(i int) string { return dc.Topo.Device(tors[i%len(tors)]).Name }
+	if _, err := dc.QueryReach(name(0), name(len(tors)-1)); err != nil {
+		t.Fatal(err)
+	}
+	// Every goroutine walks every ToR pair, so several of them hit each
+	// not-yet-looked-up table.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range tors {
+				for j := range tors {
+					src, dst := name(i+g), name(j+g)
+					if src == dst {
+						continue
+					}
+					ans, err := dc.QueryReach(src, dst)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !ans.Cached || !ans.Reaches {
+						t.Errorf("%s → %s: cached=%v reaches=%v, want both", src, dst, ans.Cached, ans.Reaches)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -173,13 +173,8 @@ func (s *Synth) evictDirty() {
 	if gen == s.cacheGen {
 		return
 	}
-	changes, ok := s.topo.ChangesSince(s.cacheGen)
+	ds := delta.Since(s.topo, s.cacheGen, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 	s.cacheGen = gen
-	if !ok {
-		s.cache = make(map[topology.DeviceID]*fib.Table)
-		return
-	}
-	ds := delta.Compute(s.topo, changes, delta.Options{UnboundedConfig: ConfigUnbounded(s.cfg)})
 	if ds.Full() {
 		s.cache = make(map[topology.DeviceID]*fib.Table)
 		return

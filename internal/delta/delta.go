@@ -137,6 +137,22 @@ type scope struct {
 	changed map[topology.LinkID]bool
 }
 
+// Since returns the blast radius of every change journaled after
+// generation gen, or the whole-DC fallback when the journal no longer
+// reaches back to gen. It is the one planner of the incremental paths:
+// the engine's delta runs, the monitor's cycle plan, the explorer's
+// scenario revalidation and the synth table cache's eviction all ask it
+// what to revisit.
+func Since(t *topology.Topology, gen uint64, opts Options) *Set {
+	changes, ok := t.ChangesSince(gen)
+	if !ok {
+		s := NewSet()
+		s.MarkFull()
+		return s
+	}
+	return Compute(t, changes, opts)
+}
+
 // Compute returns the blast radius of a journaled change sequence against
 // the topology's *current* (post-change) state. The result is a superset
 // of the devices whose converged tables differ from before the sequence.

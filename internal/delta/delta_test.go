@@ -133,6 +133,35 @@ func TestEmptyWindowIsEmpty(t *testing.T) {
 	}
 }
 
+// TestSinceMatchesComputeAndFallsBack: Since is Compute over the
+// journal window while the journal reaches back, and the whole-DC
+// fallback once it no longer does.
+func TestSinceMatchesComputeAndFallsBack(t *testing.T) {
+	topo := multiSpine(t)
+	gen := topo.Generation()
+	if ds := delta.Since(topo, gen, delta.Options{}); ds.Full() || ds.Count() != 0 {
+		t.Fatalf("unchanged generation: got %v full=%v, want empty", ds.Devices(), ds.Full())
+	}
+	topo.FailLink(topo.ClusterLeaves(0)[0], topo.Spines()[0])
+	want := delta.Compute(topo, changesAfter(t, topo, gen), delta.Options{})
+	got := delta.Since(topo, gen, delta.Options{})
+	if got.Full() || fmt.Sprint(got.Devices()) != fmt.Sprint(want.Devices()) {
+		t.Fatalf("Since = %v full=%v, Compute = %v", got.Devices(), got.Full(), want.Devices())
+	}
+
+	// Flap one link until the journal drops gen's window.
+	lid := topo.Links[0].ID
+	for i := 0; i < 5000; i++ {
+		topo.SetLinkUp(lid, i%2 == 1)
+	}
+	if _, ok := topo.ChangesSince(gen); ok {
+		t.Fatal("journal still reaches back; the fallback is untested")
+	}
+	if !delta.Since(topo, gen, delta.Options{}).Full() {
+		t.Fatal("a truncated journal must give the whole-DC fallback")
+	}
+}
+
 // renderTables snapshots every device's converged table as a comparable
 // string.
 func renderTables(t *testing.T, topo *topology.Topology, cfg map[topology.DeviceID]*bgp.DeviceConfig) map[topology.DeviceID]string {

@@ -7,8 +7,9 @@
 //
 //   - the public dcvalidate.Datacenter facade (a thin, source-compatible
 //     client of this package),
-//   - the sharded coordinator (internal/shard), which partitions sweeps
-//     across N validator shards and plugs back in as a Sweeper,
+//   - the sharded coordinator (internal/shard), which runs the delta
+//     path's device sets across N validator shards and plugs back in as
+//     a Sweeper,
 //   - the dcvalidated HTTP server (internal/serve), which exposes the
 //     Query API over the wire.
 //
@@ -48,27 +49,25 @@ import (
 // facade's ValidateOptions).
 type Options struct {
 	// Engine selects the verification engine for this run. KindDefault
-	// defers to the SMT flag below, then the engine-wide default
-	// (SetDefaultEngine), then trie.
+	// defers to the engine-wide default (SetDefaultEngine), then trie.
 	Engine Kind
-	// SMT selects the bit-vector-logic engine (§2.5.1); default is the
-	// specialized trie engine (§2.5.2). Subsumed by Engine; kept because
-	// the facade's ValidateOptions predates engine kinds.
-	SMT bool
 	// Exact extends the exact-ECMP-set requirement to specific contracts.
 	Exact bool
 	// Workers is the parallelism degree (0 = all CPUs).
 	Workers int
-	// Source overrides the FIB source (fault injection, SimulateBGP).
+	// Source overrides the FIB source (fault injection, SimulateBGP). A
+	// delta-path run with an override stays on the single engine even
+	// when sharding is enabled.
 	Source fib.Source
 }
 
-// Sweeper produces a complete, generation-stamped fleet report — the
-// hook the sharded coordinator implements. A Sweeper must return reports
-// byte-identical (modulo timing) to a single-engine full sweep of the
-// same topology state; the shard equivalence tests lock that contract.
+// Sweeper runs the delta path's device sets across validator shards —
+// the hook the sharded coordinator implements. The engine still plans
+// the run, resolves its checker and splices the results into its report;
+// a Sweeper only places the devices and executes them, so a sharded run
+// renders byte-identically to a single-engine one.
 type Sweeper interface {
-	Sweep() (*rcdc.Report, error)
+	rcdc.Runner
 	Shards() int
 }
 
@@ -97,8 +96,8 @@ type Engine struct {
 	global    *rcdc.GlobalChecker
 	globalGen uint64
 
-	// sweeper, when set, routes report-cache refreshes through the
-	// sharded coordinator instead of the single-engine delta path.
+	// sweeper, when set, runs the device sets of delta-path runs (report
+	// cache refreshes and ValidateDelta) on the sharded coordinator.
 	sweeper Sweeper
 
 	// lintGate makes Apply(SetConfig) render and statically lint the
@@ -156,23 +155,21 @@ func (e *Engine) SetClock(c clock.Clock) {
 	e.clk = c
 }
 
-// SetSweeper routes full-fleet report refreshes through s (the sharded
-// coordinator); nil restores the single-engine path. The report cache is
-// dropped so the next query re-derives it through the new path.
+// SetSweeper runs the device sets of delta-path runs on s (the sharded
+// coordinator); nil restores the single-engine path. The report cache
+// stays valid: both paths produce the same reports.
 func (e *Engine) SetSweeper(s Sweeper) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sweeper = s
-	e.report = nil
-	e.reportIdx = nil
 }
 
-// EnableSharding partitions full-fleet sweeps across n validator shards
+// EnableSharding runs delta-path device sets — serving refreshes and
+// ValidateDelta without a Source override — across n validator shards
 // via a consistent-hash coordinator over the Clos pod structure. When
 // the engine's registry exists (Metrics() was called), the coordinator
 // is instrumented into it; call Metrics() first to observe shard
-// counters. The report cache is dropped so the next query re-derives it
-// through the coordinator.
+// counters.
 func (e *Engine) EnableSharding(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -180,16 +177,7 @@ func (e *Engine) EnableSharding(n int) {
 	if e.reg != nil {
 		m = shard.NewMetrics(e.reg)
 	}
-	e.sweeper = shard.New(e.topo, e.cfg, n, shard.Options{
-		SMT:          e.defaultKind == KindSMT,
-		PEC:          e.defaultKind == KindPEC,
-		PECMetrics:   e.pecM,
-		Metrics:      m,
-		DeltaMetrics: e.deltaM,
-		Clock:        e.clk,
-	})
-	e.report = nil
-	e.reportIdx = nil
+	e.sweeper = shard.New(e.topo, e.cfg, n, shard.Options{Clock: e.clk, Metrics: m})
 }
 
 // DisableSharding restores single-engine sweeps.
@@ -459,19 +447,22 @@ func (e *LintError) Error() string {
 		e.Device, len(e.Report.Findings), e.Report)
 }
 
-// checkerLocked builds the verification engine for one run, threading the
-// per-engine instrumentation (nil until Metrics() is called) into the SMT
-// and PEC paths — the trie engine never allocates a solver. PEC checkers
-// are persistent (see pecLocked) so their atomization caches amortize
-// across runs.
-func (e *Engine) checkerLocked(o Options) rcdc.Checker {
+// validatorLocked builds the validator for one run: the checker the
+// run resolves to, its parallelism, and the engine's instrumentation
+// (nil until Metrics() is called). The trie engine never allocates a
+// solver; PEC checkers are persistent (see pecLocked) so their
+// atomization caches amortize across runs.
+func (e *Engine) validatorLocked(o Options) *rcdc.Validator {
+	v := &rcdc.Validator{Workers: o.Workers, Metrics: e.rcdcM}
 	switch e.resolveKindLocked(o) {
 	case KindSMT:
-		return rcdc.SMTChecker{Exact: o.Exact, Metrics: e.bvM}
+		v.Checker = rcdc.SMTChecker{Exact: o.Exact, Metrics: e.bvM}
 	case KindPEC:
-		return e.pecLocked(o.Exact)
+		v.Checker = e.pecLocked(o.Exact)
+	default:
+		v.Checker = rcdc.TrieChecker{Exact: o.Exact}
 	}
-	return rcdc.TrieChecker{Exact: o.Exact}
+	return v
 }
 
 // Validate runs local validation over every device. The report is stamped
@@ -480,16 +471,17 @@ func (e *Engine) checkerLocked(o Options) rcdc.Checker {
 func (e *Engine) Validate(opts Options) (*rcdc.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.validateLocked(opts)
-}
-
-func (e *Engine) validateLocked(opts Options) (*rcdc.Report, error) {
-	gen := e.topo.Generation()
 	src := opts.Source
 	if src == nil {
 		src = e.newSourceLocked()
 	}
-	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
+	return e.validateAllLocked(e.validatorLocked(opts), src)
+}
+
+// validateAllLocked runs a full sweep and stamps the report with the
+// generation it reflects.
+func (e *Engine) validateAllLocked(v *rcdc.Validator, src fib.Source) (*rcdc.Report, error) {
+	gen := e.topo.Generation()
 	rep, err := v.ValidateAll(e.factsLocked(), src)
 	if rep != nil {
 		rep.Generation = gen
@@ -500,7 +492,7 @@ func (e *Engine) validateLocked(opts Options) (*rcdc.Report, error) {
 // ValidateDelta revalidates only the blast radius of the topology changes
 // journaled since prev was taken, splicing the fresh per-device results
 // into prev — byte-for-byte identical to a from-scratch Validate of the
-// current state. It falls back to a full Validate when prev is nil, the
+// current state. It falls back to a full sweep when prev is nil, the
 // journal no longer reaches back, or the blast radius is unbounded.
 func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
 	e.mu.Lock()
@@ -508,23 +500,33 @@ func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, e
 	return e.validateDeltaLocked(prev, opts)
 }
 
+// validateDeltaLocked is the one plan → revalidate → splice path: the
+// serving refresh and ValidateDelta both run here. delta.Since plans the
+// device set, the run's checker is resolved per call (so a default
+// engine set at any time takes effect), and rcdc's ValidateDelta splices
+// into prev. Without a Source override the device set runs on the shard
+// coordinator when one is installed, else on the engine's table-cached
+// source.
 func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
-	if opts.Source == nil {
+	v := e.validatorLocked(opts)
+	switch {
+	case opts.Source != nil:
+	case e.sweeper != nil:
+		// The coordinator runs one worker per shard; reporting that
+		// width keeps Report.Workers and the utilization metric true.
+		v.Runner, v.Workers = e.sweeper, e.sweeper.Shards()
+	default:
 		opts.Source = e.cachedSourceLocked()
 	}
 	if prev == nil {
-		return e.validateLocked(opts)
+		return e.validateAllLocked(v, opts.Source)
 	}
-	changes, ok := e.topo.ChangesSince(prev.Generation)
-	if !ok {
-		return e.validateLocked(opts)
-	}
-	ds := delta.Compute(e.topo, changes, delta.Options{
+	ds := delta.Since(e.topo, prev.Generation, delta.Options{
 		UnboundedConfig: bgp.ConfigUnbounded(e.cfg),
 		Metrics:         e.deltaM,
 	})
 	if ds.Full() {
-		return e.validateLocked(opts)
+		return e.validateAllLocked(v, opts.Source)
 	}
 	e.pecInvalidateLocked(ds.Devices())
 	gen := e.topo.Generation()
@@ -532,7 +534,6 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 		e.cgen = contracts.NewGenerator(e.factsLocked())
 		e.cgen.EnableMemo()
 	}
-	v := rcdc.Validator{Checker: e.checkerLocked(opts), Workers: opts.Workers, Metrics: e.rcdcM}
 	rep, err := v.ValidateDelta(prev, e.factsLocked(), e.cgen, opts.Source, ds.Devices())
 	if rep != nil {
 		rep.Generation = gen

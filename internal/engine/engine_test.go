@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"dcvalidate/internal/contracts"
+	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/rcdc"
+	"dcvalidate/internal/shard"
 	"dcvalidate/internal/topology"
 )
 
@@ -332,40 +335,49 @@ func TestQueryReach(t *testing.T) {
 	}
 }
 
-// fakeSweeper returns a canned report and counts invocations.
-type fakeSweeper struct {
-	rep   *rcdc.Report
-	calls int
+// countingSweeper runs device sets on a real coordinator and counts the
+// runs and devices it was handed.
+type countingSweeper struct {
+	*shard.Coordinator
+	runs, devices int
 }
 
-func (f *fakeSweeper) Sweep() (*rcdc.Report, error) { f.calls++; return f.rep, nil }
-func (f *fakeSweeper) Shards() int                  { return 3 }
+func (c *countingSweeper) Run(v *rcdc.Validator, facts *metadata.Facts, gen *contracts.Generator,
+	devs []topology.DeviceID) ([]rcdc.DeviceReport, []error) {
+	c.runs++
+	c.devices += len(devs)
+	return c.Coordinator.Run(v, facts, gen, devs)
+}
 
-// TestSweeperHook: with a Sweeper installed, report refreshes route
-// through it and the summary reports its width.
+// TestSweeperHook: with a Sweeper installed, report refreshes run their
+// device sets on it, a cached answer runs nothing, and the summary
+// reports its width.
 func TestSweeperHook(t *testing.T) {
 	e := newTestEngine(t)
 	want, err := e.Validate(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &fakeSweeper{rep: want}
-	e.SetSweeper(fs)
+	cs := &countingSweeper{Coordinator: shard.New(e.Topo(), e.Config(), 3, shard.Options{})}
+	e.SetSweeper(cs)
 	s, err := e.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.calls != 1 {
-		t.Fatalf("sweeper calls = %d, want 1", fs.calls)
+	if cs.runs != 1 || cs.devices != len(e.Topo().Devices) {
+		t.Fatalf("sweeper ran %d set(s) of %d devices, want 1 of %d", cs.runs, cs.devices, len(e.Topo().Devices))
 	}
 	if s.Shards != 3 {
 		t.Fatalf("shards = %d, want 3", s.Shards)
 	}
+	if s.Contracts != want.Checked || s.Violations != want.Failures {
+		t.Fatalf("summary %+v disagrees with Validate (checked=%d failures=%d)", s, want.Checked, want.Failures)
+	}
 	if _, err := e.Summary(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.calls != 1 {
-		t.Fatalf("cached summary re-ran sweeper: calls = %d", fs.calls)
+	if cs.runs != 1 {
+		t.Fatalf("cached summary re-ran sweeper: runs = %d", cs.runs)
 	}
 	if e.Shards() != 3 {
 		t.Fatalf("Shards() = %d, want 3", e.Shards())

@@ -9,8 +9,7 @@ import (
 )
 
 // Kind names a verification engine. Runs resolve it in this order: an
-// explicit Options.Engine wins; the legacy Options.SMT flag comes next
-// (kept for facade compatibility); then the engine-wide default set by
+// explicit Options.Engine wins; then the engine-wide default set by
 // SetDefaultEngine; trie last.
 type Kind int
 
@@ -58,10 +57,9 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // SetDefaultEngine sets the checker used by runs that don't name one
-// (Options.Engine == KindDefault and SMT unset) — including the serving
-// path's cache refreshes, which is how dcvalidated's -engine flag takes
-// effect. Call it before EnableSharding so the coordinator inherits the
-// choice; the report caches are dropped either way, so the next query
+// (Options.Engine == KindDefault) — including the serving path's cache
+// refreshes, sharded or not, which is how dcvalidated's -engine flag
+// takes effect. The report cache is dropped, so the next query
 // revalidates through the new engine.
 func (e *Engine) SetDefaultEngine(k Kind) {
 	e.mu.Lock()
@@ -78,14 +76,12 @@ func (e *Engine) DefaultEngine() Kind {
 	return e.defaultKind
 }
 
-// resolveKindLocked applies the Options → SMT flag → engine default →
-// trie precedence.
+// resolveKindLocked applies the Options → engine default → trie
+// precedence.
 func (e *Engine) resolveKindLocked(o Options) Kind {
 	switch {
 	case o.Engine != KindDefault:
 		return o.Engine
-	case o.SMT:
-		return KindSMT
 	case e.defaultKind != KindDefault:
 		return e.defaultKind
 	}

@@ -17,8 +17,8 @@ import (
 // hits with zero revalidation work:
 //
 //   - the report cache (last complete sweep + a device-name index),
-//     refreshed through the sharded Sweeper when one is installed and
-//     through the blast-radius delta path otherwise;
+//     refreshed through the blast-radius delta path, whose device sets
+//     run on the sharded Sweeper when one is installed;
 //   - the global snapshot cache behind reachability queries, which also
 //     derives counterexample packets for failing trajectories.
 //
@@ -90,14 +90,10 @@ func (e *Engine) ensureReportLocked() (*rcdc.Report, bool, error) {
 	}
 	e.serveM.miss()
 	mode := "single"
-	var rep *rcdc.Report
-	var err error
 	if e.sweeper != nil {
 		mode = "sharded"
-		rep, err = e.sweeper.Sweep()
-	} else {
-		rep, err = e.validateDeltaLocked(e.report, Options{})
 	}
+	rep, err := e.validateDeltaLocked(e.report, Options{})
 	if err != nil {
 		return nil, false, err
 	}

@@ -17,7 +17,6 @@ import (
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/rcdc"
 	"dcvalidate/internal/serve"
-	"dcvalidate/internal/shard"
 	"dcvalidate/internal/topology"
 )
 
@@ -28,9 +27,9 @@ import (
 type E19Row struct {
 	Devices      int     `json:"devices"`
 	Shards       int     `json:"shards"`
-	SweepNs      int64   `json:"sweepNs"`      // cold full sweep through the coordinator
+	SweepNs      int64   `json:"sweepNs"`      // cold full sweep on the shards
 	DeltaSweepNs int64   `json:"deltaSweepNs"` // sweep after one journaled link failure
-	Identical    bool    `json:"identical"`    // merged report byte-identical to single engine
+	Identical    bool    `json:"identical"`    // sharded report byte-identical to single engine
 	ColdNs       int64   `json:"coldQueryNs"`  // HTTP query that must revalidate first
 	CachedP50Ns  int64   `json:"cachedP50Ns"`
 	CachedP99Ns  int64   `json:"cachedP99Ns"`
@@ -64,16 +63,19 @@ func e19Truth(topo *topology.Topology) *rcdc.Report {
 	return rep
 }
 
-// e19Identity certifies the coordinator against the single engine for
-// one shard count: a clean full sweep and a journaled-delta sweep after
-// a ToR–leaf link failure must both render byte-identically to a
-// from-scratch sweep. Any divergence panics (failing make serve-smoke).
-// Returns the two coordinator sweep walls.
+// e19Identity certifies sharded runs against the single engine for one
+// shard count: on an engine with n validator shards, a clean full
+// ValidateDelta and a journaled-delta ValidateDelta after a ToR–leaf
+// link failure must both render byte-identically to a from-scratch
+// sweep. Any divergence panics (failing make serve-smoke). Returns the
+// two sharded run walls.
 func e19Identity(topo *topology.Topology, n int) (sweep, deltaSweep time.Duration) {
-	co := shard.New(topo, nil, n, shard.Options{Clock: Clock})
+	eng := engine.New(topo, nil)
+	eng.SetClock(Clock)
+	eng.EnableSharding(n)
 
 	start := now()
-	rep, err := co.Sweep()
+	rep, err := eng.ValidateDelta(nil, engine.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -88,7 +90,7 @@ func e19Identity(topo *topology.Topology, n int) (sweep, deltaSweep time.Duratio
 		panic("e19: FailLink failed")
 	}
 	start = now()
-	rep, err = co.Sweep()
+	rep, err = eng.ValidateDelta(rep, engine.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -259,7 +261,7 @@ func e19Loadgen(p topology.Params, n, coldSamples, cachedSamples, concurrency in
 }
 
 // E19Serve measures the sharded serving plane end to end: for each fleet
-// size and shard count N ∈ {1, 2, 5}, the coordinator's merged report is
+// size and shard count N ∈ {1, 2, 5}, the engine's sharded report is
 // certified byte-identical to a single-engine sweep (clean and after a
 // journaled link failure), then an HTTP load generator replays a query
 // stream against a freshly booted dcvalidated server, reporting cached
@@ -310,6 +312,6 @@ func E19Serve(deviceCounts []int) (Result, []E19Row) {
 		ID:    "E19",
 		Title: "sharded serving plane: byte-identity, cache hit rate, query latency",
 		Table: b.String(),
-		Notes: "merged shard reports are byte-identical to single-engine sweeps (gate armed); cached queries are generation-checked cache hits — O(1), independent of fleet size and shard count — while cold queries pay one delta revalidation; QPS is a 4-way concurrent stream over HTTP loopback",
+		Notes: "sharded reports are byte-identical to single-engine sweeps (gate armed); cached queries are generation-checked cache hits — O(1), independent of fleet size and shard count — while cold queries pay one delta revalidation; QPS is a 4-way concurrent stream over HTTP loopback",
 	}, rows
 }

@@ -561,19 +561,13 @@ func applyFaults(t *topology.Topology, sc []Fault) (undo func(), dead map[topolo
 func (w *worker) validate(prevGen uint64, dead map[topology.DeviceID]bool, prev *rcdc.Report) (*rcdc.Report, error) {
 	w.synth.Refresh()
 	w.gated.dead = dead
-	changes, ok := w.topo.ChangesSince(prevGen)
-	full := !ok
-	var ds *delta.Set
-	if ok {
-		ds = delta.Compute(w.topo, changes, delta.Options{UnboundedConfig: w.unbounded})
-		for d := range dead {
-			ds.Add(d)
-		}
-		full = ds.Full()
+	ds := delta.Since(w.topo, prevGen, delta.Options{UnboundedConfig: w.unbounded})
+	for d := range dead {
+		ds.Add(d)
 	}
 	var rep *rcdc.Report
 	var err error
-	if full {
+	if ds.Full() {
 		rep, err = w.val.ValidateAll(w.facts, w.gated)
 	} else {
 		rep, err = w.val.ValidateDelta(prev, w.facts, w.cgen, w.gated, ds.Devices())

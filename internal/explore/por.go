@@ -29,12 +29,7 @@ func (e *Explorer) blastSets(universe []Fault) (map[Fault]*delta.Set, error) {
 	for _, f := range universe {
 		prevGen := t.Generation()
 		undo, dead := applyFaults(t, []Fault{f})
-		s := delta.NewSet()
-		if changes, ok := t.ChangesSince(prevGen); ok {
-			s = delta.Compute(t, changes, delta.Options{UnboundedConfig: unbounded})
-		} else {
-			s.MarkFull()
-		}
+		s := delta.Since(t, prevGen, delta.Options{UnboundedConfig: unbounded})
 		for d := range dead {
 			s.Add(d)
 		}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
@@ -32,7 +33,11 @@ type Table struct {
 	Device  topology.DeviceID
 	Entries []Entry
 
-	trie *ipnet.Trie[int] // prefix -> index into Entries; built lazily
+	// trie maps prefix -> index into Entries. It is built lazily on the
+	// first lookup and published atomically: a finished table is shared
+	// by concurrent readers (the serving layer's reachability snapshot),
+	// any of which may be the first to look it up.
+	trie atomic.Pointer[ipnet.Trie[int]]
 }
 
 // NewTable returns an empty FIB for the device.
@@ -44,7 +49,7 @@ func NewTable(dev topology.DeviceID) *Table {
 // longest-prefix match regardless.
 func (t *Table) Add(e Entry) {
 	t.Entries = append(t.Entries, e)
-	t.trie = nil
+	t.trie.Store(nil)
 }
 
 // Len returns the number of entries.
@@ -52,8 +57,7 @@ func (t *Table) Len() int { return len(t.Entries) }
 
 // Get returns the entry exactly matching the prefix.
 func (t *Table) Get(p ipnet.Prefix) (*Entry, bool) {
-	t.build()
-	i, ok := t.trie.Get(p)
+	i, ok := t.build().Get(p)
 	if !ok {
 		return nil, false
 	}
@@ -62,8 +66,7 @@ func (t *Table) Get(p ipnet.Prefix) (*Entry, bool) {
 
 // Lookup performs longest-prefix match for a destination address, per §2.2.
 func (t *Table) Lookup(a ipnet.Addr) (*Entry, bool) {
-	t.build()
-	_, i, ok := t.trie.Lookup(a)
+	_, i, ok := t.build().Lookup(a)
 	if !ok {
 		return nil, false
 	}
@@ -72,20 +75,22 @@ func (t *Table) Lookup(a ipnet.Addr) (*Entry, bool) {
 
 // Trie exposes the prefix trie over entry indices; used by the RCDC
 // trie-based checker (§2.5.2).
-func (t *Table) Trie() *ipnet.Trie[int] {
-	t.build()
-	return t.trie
-}
+func (t *Table) Trie() *ipnet.Trie[int] { return t.build() }
 
-func (t *Table) build() {
-	if t.trie != nil {
-		return
+// build returns the table's trie, building it on first use. Readers that
+// race to build it build equal tries; the first one published is kept.
+func (t *Table) build() *ipnet.Trie[int] {
+	if tr := t.trie.Load(); tr != nil {
+		return tr
 	}
 	tr := &ipnet.Trie[int]{}
 	for i := range t.Entries {
 		tr.Insert(t.Entries[i].Prefix, i)
 	}
-	t.trie = tr
+	if !t.trie.CompareAndSwap(nil, tr) {
+		return t.trie.Load()
+	}
+	return tr
 }
 
 // Default returns the default-route entry (0.0.0.0/0), if present.
@@ -99,7 +104,7 @@ func (t *Table) Sort() {
 	sort.Slice(t.Entries, func(i, j int) bool {
 		return t.Entries[i].Prefix.Compare(t.Entries[j].Prefix) < 0
 	})
-	t.trie = nil
+	t.trie.Store(nil)
 }
 
 // Clone returns a deep copy of the table.

@@ -58,8 +58,8 @@ func (r *Report) HighRisk() int {
 // Violations flattens all violations across devices. The returned slice
 // is a deep copy: callers may sort it, truncate it, or edit the next-hop
 // sets of individual violations without corrupting the report — or the
-// cached per-device results the serving and shard layers splice reports
-// from, or the memoized contract generator whose NextHops slices the
+// cached per-device results the serving layer splices reports from, or
+// the memoized contract generator whose NextHops slices the
 // violations would otherwise alias.
 func (r *Report) Violations() []Violation {
 	var out []Violation
@@ -102,6 +102,22 @@ type Validator struct {
 	// returned report and its device slice are views into the scratch,
 	// valid only until the next ValidateAll on the same validator.
 	Scratch *Scratch
+	// Runner, when non-nil, executes the device sets of ValidateAll and
+	// ValidateDelta in place of the worker pool (and of the Scratch
+	// path). The runner pulls the tables itself, so the source argument
+	// of those calls is unused.
+	Runner Runner
+}
+
+// Runner executes one device set of a validation run: it pulls each
+// device's table, checks it with v.ValidateDevice against gen's
+// contracts, and returns the reports in ascending device order together
+// with every per-device error (an errored device produces no report).
+// The validator's own worker pool over the run's FIB source is the
+// default runner; the shard coordinator (internal/shard) is the other,
+// placing devices on validator shards that pull from their own sources.
+type Runner interface {
+	Run(v *Validator, facts *metadata.Facts, gen *contracts.Generator, devs []topology.DeviceID) ([]DeviceReport, []error)
 }
 
 // Scratch holds the reusable backing arrays of the sequential
@@ -143,13 +159,16 @@ func (v *Validator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// validateSet runs the worker pool over one device set, pulling each FIB
-// from the source and validating it against gen's contracts. It returns
-// the per-device reports in ascending device order together with every
-// per-device error (the two are disjoint: an errored device produces no
-// report).
+// validateSet runs one device set through the Runner, or else through
+// the worker pool, pulling each FIB from the source and validating it
+// against gen's contracts. It returns the per-device reports in
+// ascending device order together with every per-device error (the two
+// are disjoint: an errored device produces no report).
 func (v *Validator) validateSet(facts *metadata.Facts, gen *contracts.Generator,
 	source fib.Source, devs []topology.DeviceID) ([]DeviceReport, []error) {
+	if v.Runner != nil {
+		return v.Runner.Run(v, facts, gen, devs)
+	}
 	type result struct {
 		rep DeviceReport
 		err error
@@ -207,7 +226,7 @@ func (v *Validator) validateSet(facts *metadata.Facts, gen *contracts.Generator,
 func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Report, error) {
 	sp := v.Tracer.Start("rcdc.ValidateAll")
 	defer sp.End()
-	if v.Scratch != nil && v.workers() == 1 {
+	if v.Scratch != nil && v.Runner == nil && v.workers() == 1 {
 		return v.validateAllSeq(facts, source)
 	}
 	start := clock.Or(v.Clock).Now()

@@ -334,7 +334,7 @@ func TestServeSharded(t *testing.T) {
 	if sum.Shards != 3 || sum.Violating != 0 || sum.Devices != len(topo.Devices) {
 		t.Fatalf("sharded summary = %+v", sum)
 	}
-	if n := sample(eng.Metrics(), "dcv_shard_sweeps_total", "mode", "full"); n != 1 {
-		t.Fatalf("shard sweeps = %v, want 1", n)
+	if n := sample(eng.Metrics(), "dcv_serve_sweeps_total", "mode", "sharded"); n != 1 {
+		t.Fatalf("sharded serving sweeps = %v, want 1", n)
 	}
 }

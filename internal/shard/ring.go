@@ -1,10 +1,10 @@
 // Package shard partitions the validation plane: a Coordinator spreads
 // the fleet across N validator shards by consistent hashing over the
-// Clos pod structure, sweeps them with a work-stealing worker pool, and
-// merges the per-shard partial reports into a single fleet report that
-// is byte-identical (modulo timing) to a single-engine sweep — the
-// horizontal-scaling story of the paper's Figure 5 deployment, where
-// RCDC instances divide the datacenter between them.
+// Clos pod structure and runs the device sets the engine hands it on a
+// work-stealing worker pool, each device checked against its shard's own
+// FIB source — the horizontal-scaling story of the paper's Figure 5
+// deployment, where RCDC instances divide the datacenter between them
+// while one planner decides what to revalidate.
 package shard
 
 import (
@@ -13,10 +13,10 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per shard on the ring. More
-// virtual nodes smooth the partition sizes; 64 keeps the spread within a
-// few percent for the shard counts the serving layer uses.
-const defaultReplicas = 64
+// replicas is the virtual-node count per shard on the ring. More virtual
+// nodes smooth the partition sizes; 64 keeps the spread within a few
+// percent for the shard counts the serving layer uses.
+const replicas = 64
 
 // Ring is a consistent-hash ring mapping partition keys to shards.
 // Adding or removing one shard moves only the keys adjacent to its
@@ -32,14 +32,10 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring of n shards with the given virtual-node count
-// per shard (0 means the default).
-func NewRing(n, replicas int) *Ring {
+// NewRing builds a ring of n shards.
+func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
-	}
-	if replicas < 1 {
-		replicas = defaultReplicas
 	}
 	r := &Ring{shards: n, points: make([]ringPoint, 0, n*replicas)}
 	for s := 0; s < n; s++ {
@@ -70,8 +66,18 @@ func (r *Ring) Shard(key string) int {
 	return r.points[i].shard
 }
 
+// hashKey places a key (or a virtual node) on the ring: FNV-1a followed
+// by murmur3's 32-bit finalizer. FNV-1a alone leaves keys that differ
+// only in their last byte — "pod-0", "pod-1", ... — within a few percent
+// of each other on the ring, so one arc, and one shard, took them all.
 func hashKey(key string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return h.Sum32()
+	x := h.Sum32()
+	x ^= x >> 16
+	x *= 0x85ebca6b
+	x ^= x >> 13
+	x *= 0xc2b2ae35
+	x ^= x >> 16
+	return x
 }

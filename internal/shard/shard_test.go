@@ -3,10 +3,10 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"dcvalidate/internal/bgp"
+	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/rcdc"
@@ -37,19 +37,8 @@ func renderReport(rep *rcdc.Report) []byte {
 	return buf.Bytes()
 }
 
-// groundTruth is a from-scratch single-engine full sweep.
-func groundTruth(t *testing.T, topo *topology.Topology) *rcdc.Report {
-	t.Helper()
-	v := rcdc.Validator{Workers: 2}
-	rep, err := v.ValidateAll(metadata.FromTopology(topo), bgp.NewSynth(topo, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
 func TestRingDeterministicAndComplete(t *testing.T) {
-	r := NewRing(5, 0)
+	r := NewRing(5)
 	if r.Shards() != 5 {
 		t.Fatalf("Shards() = %d", r.Shards())
 	}
@@ -69,8 +58,23 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 		t.Fatalf("1000 keys landed on only %d/5 shards", len(seen))
 	}
 	// A clamped ring still works.
-	if NewRing(0, 0).Shard("x") != 0 {
+	if NewRing(0).Shard("x") != 0 {
 		t.Fatal("single-shard ring must map everything to shard 0")
+	}
+}
+
+// TestRingSpreadsPods: structural keys that differ only in their index
+// spread over the shards instead of piling onto one arc of the ring.
+func TestRingSpreadsPods(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		r := NewRing(n)
+		used := map[int]bool{}
+		for c := 0; c < 6; c++ {
+			used[r.Shard(fmt.Sprintf("pod-%d", c))] = true
+		}
+		if len(used) != n {
+			t.Fatalf("6 pods landed on %d of %d shards", len(used), n)
+		}
 	}
 }
 
@@ -148,110 +152,52 @@ func TestPartitionCoversFleet(t *testing.T) {
 	}
 }
 
-// TestSweepEquivalence: a coordinator sweep renders byte-identically to
-// a single-engine full sweep, for every shard width, healthy and failed.
-func TestSweepEquivalence(t *testing.T) {
+// TestRunMatchesValidator: the coordinator runs exactly the device set
+// it is handed — a subset or the whole fleet, healthy or degraded — and
+// returns the same per-device reports, in the same order, as the
+// validator's own worker pool over a fresh source.
+func TestRunMatchesValidator(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		topo := topology.MustNew(testParams())
-		c := New(topo, nil, n, Options{})
-		want := renderReport(groundTruth(t, topo))
-		rep, err := c.Sweep()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		reg := obs.NewRegistry()
+		c := New(topo, nil, n, Options{Metrics: NewMetrics(reg)})
+		facts := metadata.FromTopology(topo)
+		gen := contracts.NewGenerator(facts)
+		gen.EnableMemo()
+		all := make([]topology.DeviceID, len(topo.Devices))
+		for i := range all {
+			all[i] = topology.DeviceID(i)
 		}
-		if got := renderReport(rep); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: sharded sweep diverged from single engine\n--- sharded ---\n%s--- single ---\n%s", n, got, want)
-		}
-		// Degrade and re-sweep (delta path).
-		topo.FailLink(topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0])
-		rep2, err := c.Sweep()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if rep2.Failures == 0 {
-			t.Fatalf("n=%d: no violations after link failure", n)
-		}
-		if got := renderReport(rep2); !bytes.Equal(got, renderReport(groundTruth(t, topo))) {
-			t.Fatalf("n=%d: delta sweep diverged from single engine", n)
-		}
-	}
-}
-
-// TestSweepCached: a repeat sweep at an unchanged generation returns the
-// cached merge without revalidating.
-func TestSweepCached(t *testing.T) {
-	topo := topology.MustNew(testParams())
-	reg := obs.NewRegistry()
-	c := New(topo, nil, 2, Options{Metrics: NewMetrics(reg)})
-	r1, err := c.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("repeat sweep did not return the cached merge")
-	}
-	var cached, full float64
-	for _, s := range reg.Snapshot() {
-		if s.Name == "dcv_shard_sweeps_total" {
-			switch s.Labels["mode"] {
-			case "cached":
-				cached = s.Value
-			case "full":
-				full = s.Value
+		subset := []topology.DeviceID{all[1], all[5], all[len(all)-1]}
+		for step, devs := range [][]topology.DeviceID{all, subset, all} {
+			if step == 2 {
+				topo.FailLink(topo.ClusterToRs(0)[0], topo.ClusterLeaves(0)[0])
+			}
+			pool := &rcdc.Validator{Workers: 2}
+			want, wantErrs := pool.ValidateDelta(&rcdc.Report{}, facts, gen, bgp.NewSynth(topo, nil), devs)
+			if wantErrs != nil {
+				t.Fatal(wantErrs)
+			}
+			got, errs := c.Run(&rcdc.Validator{}, facts, gen, devs)
+			if len(errs) > 0 {
+				t.Fatalf("n=%d step %d: %v", n, step, errs)
+			}
+			if b := renderReport(&rcdc.Report{Devices: got}); !bytes.Equal(b, renderReport(&rcdc.Report{Devices: want.Devices})) {
+				t.Fatalf("n=%d step %d: coordinator run diverged from the validator pool\n--- coordinator ---\n%s--- pool ---\n%s",
+					n, step, b, renderReport(want))
 			}
 		}
-	}
-	if full != 1 || cached != 1 {
-		t.Fatalf("sweeps full=%v cached=%v, want 1/1", full, cached)
-	}
-}
-
-// TestShardProperty is the 40-step randomized equivalence property:
-// mutations interleaved with sweeps and repeat (cached) sweeps, with the
-// merged report compared byte-for-byte against a from-scratch
-// single-engine sweep at every step, for N ∈ {1, 2, 5} simultaneously.
-func TestShardProperty(t *testing.T) {
-	topo := topology.MustNew(testParams())
-	rng := rand.New(rand.NewSource(42))
-	coords := map[int]*Coordinator{}
-	for _, n := range []int{1, 2, 5} {
-		coords[n] = New(topo, nil, n, Options{})
-	}
-	links := len(topo.Links)
-	for step := 0; step < 40; step++ {
-		l := topology.LinkID(rng.Intn(links))
-		switch op := rng.Intn(6); op {
-		case 0:
-			topo.SetLinkUp(l, false)
-		case 1:
-			topo.SetLinkUp(l, true)
-		case 2:
-			topo.SetSessionUp(l, false)
-		case 3:
-			topo.SetSessionUp(l, true)
-		case 4:
-			topo.RestoreAll()
-		case 5:
-			// No mutation: this step exercises the cached-sweep path.
+		chunks := 0.0
+		for _, s := range reg.Snapshot() {
+			if s.Name == "dcv_shard_partial_seconds_count" {
+				chunks += s.Value
+			}
 		}
-		want := renderReport(groundTruth(t, topo))
-		for _, n := range []int{1, 2, 5} {
-			rep, err := coords[n].Sweep()
-			if err != nil {
-				t.Fatalf("step %d n=%d: %v", step, n, err)
-			}
-			if rep.Generation != topo.Generation() {
-				t.Fatalf("step %d n=%d: report generation %d, topology %d",
-					step, n, rep.Generation, topo.Generation())
-			}
-			if got := renderReport(rep); !bytes.Equal(got, want) {
-				t.Fatalf("step %d n=%d: sharded sweep diverged from single engine\n--- sharded ---\n%s--- single ---\n%s",
-					step, n, got, want)
-			}
+		if chunks == 0 {
+			t.Fatalf("n=%d: no chunk observed in dcv_shard_partial_seconds", n)
+		}
+		if got, _ := c.Run(&rcdc.Validator{}, facts, gen, nil); got != nil {
+			t.Fatalf("n=%d: empty device set produced %d reports", n, len(got))
 		}
 	}
 }

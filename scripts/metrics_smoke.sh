@@ -11,14 +11,18 @@ PORT="${METRICS_PORT:-9377}"
 ADDR="127.0.0.1:${PORT}"
 OUT="$(mktemp)"
 LOG="$(mktemp)"
+BIN="$(mktemp -d)"
 PID=""
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -f "$OUT" "$LOG"
+    rm -rf "$OUT" "$LOG" "$BIN"
 }
 trap cleanup EXIT
 
-go run ./cmd/dcmon -clusters 2 -tors 4 -faults 0 -cycles 4 \
+# Build first and run the binary itself: killing a `go run` wrapper
+# leaves the lingering dcmon it started running.
+go build -o "$BIN/dcmon" ./cmd/dcmon
+"$BIN/dcmon" -clusters 2 -tors 4 -faults 0 -cycles 4 \
     -metrics-addr "$ADDR" >"$LOG" 2>&1 &
 PID=$!
 

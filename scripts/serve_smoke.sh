@@ -4,7 +4,7 @@
 # and fail unless repeat queries land as dcv_serve_cache_hits_total
 # increments without triggering extra revalidation sweeps. Then run the
 # E19 experiment at its quick sweep point, which arms the byte-identity
-# gate (sharded merged report vs single-engine sweep for N in {1,2,5})
+# gate (sharded ValidateDelta vs single-engine sweep for N in {1,2,5})
 # and the cached-query O(1) gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,14 +13,18 @@ PORT="${SERVE_PORT:-9378}"
 ADDR="127.0.0.1:${PORT}"
 BASE="http://$ADDR"
 LOG="$(mktemp)"
+BIN="$(mktemp -d)"
 PID=""
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -f "$LOG"
+    rm -rf "$LOG" "$BIN"
 }
 trap cleanup EXIT
 
-go run ./cmd/dcvalidated -addr "$ADDR" \
+# Build first and run the binary itself: killing a `go run` wrapper
+# leaves the server it started running.
+go build -o "$BIN/dcvalidated" ./cmd/dcvalidated
+"$BIN/dcvalidated" -addr "$ADDR" \
     -clusters 2 -tors 4 -leaves 2 -spines 2 -rs 2 -rslinks 1 \
     -shards 2 >"$LOG" 2>&1 &
 PID=$!
