@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/devconf/
 	$(GO) test -fuzz FuzzPECDifferential -fuzztime $(FUZZTIME) ./internal/pec/
 	$(GO) test -fuzz FuzzArenaDifferential -fuzztime $(FUZZTIME) ./internal/pec/
+	$(GO) test -fuzz FuzzScopedSplice -fuzztime $(FUZZTIME) ./internal/pec/
 
 # Regenerate every paper experiment (see DESIGN.md / EXPERIMENTS.md) and
 # the committed BENCH_*.json artifacts in the working directory.

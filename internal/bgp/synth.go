@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,6 +40,12 @@ type Synth struct {
 	cfg  map[topology.DeviceID]*DeviceConfig
 
 	prefixes []topology.HostedPrefix
+	// prefixIdx maps each hosted prefix to its index in prefixes; nil when
+	// a prefix is hosted twice, which turns cache patching into eviction.
+	// disjoint records that prefixes is sorted and pairwise disjoint, so
+	// the prefixes overlapping a scope are found by binary search.
+	prefixIdx map[ipnet.Prefix]int
+	disjoint  bool
 	// spineHas[p][k] reports whether the k'th spine (position in
 	// topo.Spines(), a contiguous ID block) has a route for prefix p.
 	spineHas        [][]bool
@@ -52,10 +59,11 @@ type Synth struct {
 	fastAccept bool
 
 	// Opt-in per-device table cache keyed by topology generation: Refresh
-	// consumes the change journal and evicts only the blast radius, so
-	// steady-state pulls of unaffected devices are O(copy). Off by default
-	// — a populated cache is a materialized global snapshot, which the
-	// full-sweep paths deliberately avoid.
+	// consumes the change journal, evicts the devices the blast radius
+	// marks whole and patches, entry by entry, the ones it scopes to a
+	// prefix set, so steady-state pulls of unaffected devices are
+	// O(copy). Off by default — a populated cache is a materialized global
+	// snapshot, which the full-sweep paths deliberately avoid.
 	mu       sync.Mutex
 	cache    map[topology.DeviceID]*fib.Table
 	cacheGen uint64
@@ -75,11 +83,13 @@ type Synth struct {
 }
 
 // EnableTableCache turns on per-device table caching. Cached tables are
-// invalidated by Refresh using the topology change journal: only devices
+// kept current by Refresh using the topology change journal: only devices
 // inside the blast radius of the changes since the last Refresh are
-// evicted (everything, if the radius is unbounded or the journal was
-// truncated). Call only on long-lived sources that serve repeated
-// incremental pulls; memory grows to one table per distinct device pulled.
+// touched — patched in place when the radius scopes them to a prefix set,
+// evicted when it marks them whole, and everything is evicted if the
+// radius is unbounded or the journal was truncated. Call only on
+// long-lived sources that serve repeated incremental pulls; memory grows
+// to one table per distinct device pulled.
 func (s *Synth) EnableTableCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,6 +106,15 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 	if len(topo.Spines()) > 0 {
 		s.spineBase = topo.Spines()[0]
 	}
+	s.disjoint = ipnet.SortedDisjoint(len(s.prefixes), func(i int) ipnet.Prefix { return s.prefixes[i].Prefix })
+	s.prefixIdx = make(map[ipnet.Prefix]int, len(s.prefixes))
+	for pi, hp := range s.prefixes {
+		if _, dup := s.prefixIdx[hp.Prefix]; dup {
+			s.prefixIdx = nil
+			break
+		}
+		s.prefixIdx[hp.Prefix] = pi
+	}
 	s.Refresh()
 	return s
 }
@@ -104,10 +123,16 @@ func NewSynth(topo *topology.Topology, cfg map[topology.DeviceID]*DeviceConfig) 
 // topology and configuration state. The monitoring loop calls this at the
 // start of every pull cycle so synthesized FIBs track live state. The
 // derived sets are always rebuilt (they are cheap, and direct config-map
-// edits leave no journal trace); only the opt-in table cache is
-// invalidated selectively via the change journal.
+// edits leave no journal trace); the opt-in table cache is then brought
+// up to date selectively via the change journal. Refresh must not run
+// concurrently with Table.
 func (s *Synth) Refresh() {
-	s.evictDirty()
+	s.rebuild()
+	s.syncCache()
+}
+
+// rebuild recomputes the derived reachability sets.
+func (s *Synth) rebuild() {
 	topo := s.topo
 	s.fastAccept = len(s.cfg) == 0
 	spp := topo.Params.SpinesPerPlane
@@ -159,11 +184,13 @@ func (s *Synth) Refresh() {
 	}
 }
 
-// evictDirty drops cached tables for every device inside the blast radius
-// of the topology changes since the cache was last synchronized. Unbounded
-// change sets (journal truncation, device-level changes, acceptance-
-// altering configs) clear the whole cache.
-func (s *Synth) evictDirty() {
+// syncCache brings the cached tables up to the current generation: it
+// evicts every device the blast radius of the changes since the cache
+// was last synchronized marks whole, and patches the tables of the
+// devices it scopes to a prefix set. Unbounded change sets (journal
+// truncation, device-level changes, acceptance-altering configs) clear
+// the whole cache.
+func (s *Synth) syncCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cache == nil {
@@ -180,8 +207,93 @@ func (s *Synth) evictDirty() {
 		return
 	}
 	for _, d := range ds.Devices() {
+		t, ok := s.cache[d]
+		if !ok {
+			continue
+		}
+		if ps, scoped := ds.Scope(d); scoped && s.prefixIdx != nil {
+			s.patch(t, ps)
+			continue
+		}
 		delete(s.cache, d)
 	}
+}
+
+// patch recomputes, in the cached table t, the specific entries of the
+// hosted prefixes overlapping ps: each is rewritten, inserted at its
+// prefix-order position, or removed. The default and connected entries
+// are left alone — the blast radius only scopes devices whose default
+// entry cannot change. Cached tables are only ever copied, never looked
+// up, so they have no lookup trie to reset.
+func (s *Synth) patch(t *fib.Table, ps []ipnet.Prefix) {
+	d := t.Device
+	for _, pi := range s.overlapping(ps) {
+		hp := s.prefixes[pi]
+		if hp.ToR == d {
+			continue // connected
+		}
+		i, found := s.findSpecific(t, pi)
+		nhs := s.specificNextHops(d, pi, hp)
+		e := fib.Entry{Prefix: hp.Prefix, NextHops: nhs}
+		switch {
+		case found && len(nhs) > 0:
+			t.Entries[i] = e
+		case found:
+			t.Entries = slices.Delete(t.Entries, i, i+1)
+		case len(nhs) > 0:
+			t.Entries = slices.Insert(t.Entries, i, e)
+		}
+	}
+}
+
+// findSpecific returns the position of hosted prefix pi's entry in the
+// cached table t — found, or where it would be inserted. Specific
+// entries follow the connected entries and the default entry, in
+// ascending prefix-index order (see synthesize).
+func (s *Synth) findSpecific(t *fib.Table, pi int) (int, bool) {
+	lo := len(s.topo.Device(t.Device).HostedPrefixes)
+	if lo < len(t.Entries) && t.Entries[lo].Prefix.IsDefault() {
+		lo++
+	}
+	i := lo + sort.Search(len(t.Entries)-lo, func(k int) bool {
+		return s.prefixIdx[t.Entries[lo+k].Prefix] >= pi
+	})
+	return i, i < len(t.Entries) && t.Entries[i].Prefix == s.prefixes[pi].Prefix
+}
+
+// overlapping returns, in ascending order, the index of every hosted
+// prefix that overlaps one of ps.
+func (s *Synth) overlapping(ps []ipnet.Prefix) []int {
+	at := func(i int) ipnet.Prefix { return s.prefixes[i].Prefix }
+	return ipnet.Overlapping(len(s.prefixes), at, ps, s.disjoint)
+}
+
+// TableOverlapping implements fib.OverlapSource: device d's table
+// restricted to its default entry and the entries overlapping ps,
+// synthesized directly in O(|ps| log prefixes), not O(table), and equal
+// entry for entry to Table(d).Overlapping(ps). It neither reads nor
+// fills the table cache.
+func (s *Synth) TableOverlapping(d topology.DeviceID, ps []ipnet.Prefix) (*fib.Table, error) {
+	t := fib.NewTable(d)
+	dev := s.topo.Device(d)
+	for _, p := range dev.HostedPrefixes {
+		if p.OverlapsAny(ps) {
+			t.Add(fib.Entry{Prefix: p, Connected: true})
+		}
+	}
+	if nhs := s.defaultNextHops(d); len(nhs) > 0 {
+		t.Add(fib.Entry{Prefix: ipnet.Prefix{}, NextHops: nhs})
+	}
+	for _, pi := range s.overlapping(ps) {
+		hp := s.prefixes[pi]
+		if hp.ToR == d {
+			continue // connected
+		}
+		if nhs := s.specificNextHops(d, pi, hp); len(nhs) > 0 {
+			t.Add(fib.Entry{Prefix: hp.Prefix, NextHops: nhs})
+		}
+	}
+	return t, nil
 }
 
 func (s *Synth) spineIdx(sp topology.DeviceID) int { return int(sp - s.spineBase) }

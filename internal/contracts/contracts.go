@@ -60,6 +60,23 @@ type DeviceContracts struct {
 	Contracts []Contract
 }
 
+// Scoped returns the part of dc a check scoped to ps rechecks — its
+// specific contracts whose prefix overlaps one of ps, in order — and
+// their prefixes, which the check's table pull must cover.
+// Generator.ForDeviceScoped returns the same for a generated set
+// without building it.
+func (dc *DeviceContracts) Scoped(ps []ipnet.Prefix) (DeviceContracts, []ipnet.Prefix) {
+	sub := DeviceContracts{Device: dc.Device}
+	var cps []ipnet.Prefix
+	for _, c := range dc.Contracts {
+		if c.Kind == Specific && c.Prefix.OverlapsAny(ps) {
+			sub.Contracts = append(sub.Contracts, c)
+			cps = append(cps, c.Prefix)
+		}
+	}
+	return sub, cps
+}
+
 // Generator derives contracts from metadata facts.
 type Generator struct {
 	facts *metadata.Facts
@@ -72,6 +89,13 @@ type Generator struct {
 	mu      sync.Mutex
 	memo    map[topology.DeviceID]DeviceContracts
 	memoGen uint64
+
+	// sortedAt is the facts generation plus one at which sorted — the
+	// facts' prefixes ascend and are pairwise disjoint, so
+	// ForDeviceScoped can binary-search them — was last worked out; 0
+	// means never.
+	sortedAt uint64
+	sorted   bool
 }
 
 // NewGenerator returns a contract generator over the given facts snapshot.
@@ -118,72 +142,137 @@ func (g *Generator) ForDevice(id topology.DeviceID) DeviceContracts {
 	return g.generate(id)
 }
 
+// ForDeviceScoped returns what ForDevice(id).Scoped(ps) returns — the
+// device's specific contracts whose prefix overlaps one of ps, in order,
+// and their prefixes — generating only those contracts, in
+// O(|ps| log prefixes) after the device's next-hop sets. It neither
+// reads nor fills the memo, so a scoped check never builds a device's
+// full set.
+func (g *Generator) ForDeviceScoped(id topology.DeviceID, ps []ipnet.Prefix) (DeviceContracts, []ipnet.Prefix) {
+	r := g.rulesFor(id)
+	sub := DeviceContracts{Device: id}
+	var cps []ipnet.Prefix
+	for _, i := range g.overlappingPrefixes(ps) {
+		if c, ok := r.specific(g.facts.Prefixes[i]); ok && len(c.NextHops) > 0 {
+			sub.Contracts = append(sub.Contracts, c)
+			cps = append(cps, c.Prefix)
+		}
+	}
+	return sub, cps
+}
+
+// overlappingPrefixes returns, in ascending order, the indices of the
+// facts' prefixes that overlap one of ps.
+func (g *Generator) overlappingPrefixes(ps []ipnet.Prefix) []int {
+	pfx := g.facts.Prefixes
+	at := func(i int) ipnet.Prefix { return pfx[i].Prefix }
+	g.mu.Lock()
+	if gen := g.facts.Generation() + 1; g.sortedAt != gen {
+		g.sorted = ipnet.SortedDisjoint(len(pfx), at)
+		g.sortedAt = gen
+	}
+	sorted := g.sorted
+	g.mu.Unlock()
+	return ipnet.Overlapping(len(pfx), at, ps, sorted)
+}
+
 // generate derives one device's contracts from the facts.
 func (g *Generator) generate(id topology.DeviceID) DeviceContracts {
-	df := g.facts.Device(id)
+	r := g.rulesFor(id)
 	dc := DeviceContracts{Device: id}
-
-	uplinks := devIDs(df.Uplinks)
-	switch df.Role {
-	case topology.RoleToR:
-		// Default contract: all neighboring leaves.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
-		// Specific contract for every datacenter prefix not hosted here,
-		// next hops the neighboring leaves.
-		hosted := prefixSet(df.HostedPrefixes)
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			if hosted[p.Prefix] {
-				continue
-			}
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: uplinks})
-		}
-
-	case topology.RoleLeaf:
-		// Default contract: the neighboring spines.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
-		// Specific contracts: same-cluster prefixes go straight to the
-		// hosting ToR; everything else goes to the spines.
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			if p.Cluster == df.Cluster {
-				dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix,
-					NextHops: []topology.DeviceID{p.ToR}})
-			} else {
-				dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: uplinks})
-			}
-		}
-
-	case topology.RoleSpine:
-		// Default contract: the neighboring regional spines.
-		dc.add(Contract{Device: id, Kind: Default, NextHops: uplinks})
-		// Specific contracts: the neighboring leaves of the hosting
-		// cluster (with the plane structure, exactly one per cluster).
-		downByCluster := make(map[int][]topology.DeviceID)
-		for _, n := range df.Downlinks {
-			downByCluster[n.Cluster] = append(downByCluster[n.Cluster], n.Device)
-		}
-		for c, hops := range downByCluster {
-			downByCluster[c] = sortedCopy(hops)
-		}
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix,
-				NextHops: downByCluster[p.Cluster]})
-		}
-
-	case topology.RoleRegionalSpine:
-		// No default contract: the regional spine's default points into
-		// the regional network, outside the datacenter model. Specific
-		// contracts expect every neighboring spine, since each spine
-		// reaches every cluster through its plane leaf.
-		downs := devIDs(df.Downlinks)
-		dc.grow(len(g.facts.Prefixes))
-		for _, p := range g.facts.Prefixes {
-			dc.add(Contract{Device: id, Kind: Specific, Prefix: p.Prefix, NextHops: downs})
+	if c, ok := r.defaultContract(); ok {
+		dc.add(c)
+	}
+	dc.grow(len(g.facts.Prefixes))
+	for _, p := range g.facts.Prefixes {
+		if c, ok := r.specific(p); ok {
+			dc.add(c)
 		}
 	}
 	return dc
+}
+
+// rules holds one device's role-specific expectations: the next-hop
+// sets its contracts draw from. generate applies them to every prefix,
+// ForDeviceScoped to the prefixes a scope selects.
+type rules struct {
+	id      topology.DeviceID
+	role    topology.Role
+	cluster int
+	uplinks []topology.DeviceID
+	// hosted is a ToR's own prefixes, which get no contract.
+	hosted map[ipnet.Prefix]bool
+	// byCluster is a spine's downlink leaves per cluster.
+	byCluster map[int][]topology.DeviceID
+	// downs is a regional spine's downlink spines.
+	downs []topology.DeviceID
+}
+
+func (g *Generator) rulesFor(id topology.DeviceID) *rules {
+	df := g.facts.Device(id)
+	r := &rules{id: id, role: df.Role, cluster: df.Cluster, uplinks: devIDs(df.Uplinks)}
+	switch df.Role {
+	case topology.RoleToR:
+		r.hosted = prefixSet(df.HostedPrefixes)
+	case topology.RoleSpine:
+		r.byCluster = make(map[int][]topology.DeviceID)
+		for _, n := range df.Downlinks {
+			r.byCluster[n.Cluster] = append(r.byCluster[n.Cluster], n.Device)
+		}
+		for c, hops := range r.byCluster {
+			r.byCluster[c] = sortedCopy(hops)
+		}
+	case topology.RoleRegionalSpine:
+		r.downs = devIDs(df.Downlinks)
+	}
+	return r
+}
+
+// defaultContract returns the device's default contract: all its
+// uplinks — the neighboring leaves of a ToR, spines of a leaf, regional
+// spines of a spine. A regional spine has none: its default points into
+// the regional network, outside the datacenter model.
+func (r *rules) defaultContract() (Contract, bool) {
+	switch r.role {
+	case topology.RoleToR, topology.RoleLeaf, topology.RoleSpine:
+		return Contract{Device: r.id, Kind: Default, NextHops: r.uplinks}, true
+	}
+	return Contract{}, false
+}
+
+// specific returns the device's contract for prefix p, or false when it
+// has none (a ToR's own prefixes):
+//
+//   - a ToR expects its neighboring leaves for every prefix not hosted
+//     on it;
+//   - a leaf sends same-cluster prefixes straight to the hosting ToR and
+//     everything else to its spines;
+//   - a spine expects the neighboring leaves of the hosting cluster
+//     (with the plane structure, exactly one per cluster);
+//   - a regional spine expects every neighboring spine, since each spine
+//     reaches every cluster through its plane leaf.
+func (r *rules) specific(p metadata.PrefixFacts) (Contract, bool) {
+	c := Contract{Device: r.id, Kind: Specific, Prefix: p.Prefix}
+	switch r.role {
+	case topology.RoleToR:
+		if r.hosted[p.Prefix] {
+			return Contract{}, false
+		}
+		c.NextHops = r.uplinks
+	case topology.RoleLeaf:
+		if p.Cluster == r.cluster {
+			c.NextHops = []topology.DeviceID{p.ToR}
+		} else {
+			c.NextHops = r.uplinks
+		}
+	case topology.RoleSpine:
+		c.NextHops = r.byCluster[p.Cluster]
+	case topology.RoleRegionalSpine:
+		c.NextHops = r.downs
+	default:
+		return Contract{}, false
+	}
+	return c, true
 }
 
 // All generates contracts for every device in the datacenter.

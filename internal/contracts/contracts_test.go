@@ -1,6 +1,8 @@
 package contracts
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dcvalidate/internal/ipnet"
@@ -183,5 +185,45 @@ func TestNextHopsSorted(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Specific.String() != "specific" || Default.String() != "default" {
 		t.Error("Kind.String wrong")
+	}
+}
+
+// TestForDeviceScopedMatchesScoped: generating only a scope's contracts
+// gives exactly the scope's part of the full set, for every device and
+// for scopes that hit one prefix, several, a supernet, everything, or
+// nothing — on the generated (sorted) prefix list and on a reversed one,
+// which takes the scanning path.
+func TestForDeviceScopedMatchesScoped(t *testing.T) {
+	topo := topology.MustNew(topology.Params{
+		Clusters: 3, ToRsPerCluster: 3, LeavesPerCluster: 2,
+		SpinesPerPlane: 2, RegionalSpines: 4, RSLinksPerSpine: 2, PrefixesPerToR: 2,
+	})
+	facts := metadata.FromTopology(topo)
+	hps := topo.HostedPrefixes()
+	scopes := [][]ipnet.Prefix{
+		{hps[0].Prefix},
+		{hps[len(hps)-1].Prefix, hps[3].Prefix},
+		{ipnet.PrefixFrom(hps[2].Prefix.Addr, 16)},
+		{{}},
+		{ipnet.MustParsePrefix("192.168.0.0/24")},
+	}
+	for _, reversed := range []bool{false, true} {
+		if reversed {
+			slices.Reverse(facts.Prefixes)
+			facts.NoteIntentChange()
+		}
+		g := NewGenerator(facts)
+		for id := range topo.Devices {
+			d := topology.DeviceID(id)
+			full := g.ForDevice(d)
+			for _, ps := range scopes {
+				want, wantPs := full.Scoped(ps)
+				got, gotPs := g.ForDeviceScoped(d, ps)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotPs, wantPs) {
+					t.Fatalf("reversed=%v device %s scope %v:\ngot  %+v %v\nwant %+v %v",
+						reversed, topo.Device(d).Name, ps, got, gotPs, want, wantPs)
+				}
+			}
+		}
 	}
 }

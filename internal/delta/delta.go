@@ -1,6 +1,8 @@
 // Package delta computes the blast radius of a topology change set: the
 // set of devices whose converged FIBs can differ from before the changes,
-// i.e. the only devices incremental revalidation needs to revisit.
+// i.e. the only devices incremental revalidation needs to revisit, and,
+// where the rules can bound it, the prefixes whose entries can differ on
+// each of them.
 //
 // This is the change-driven half of the paper's locality argument (§2.4,
 // Claim 1): because contracts are local and the EBGP design is a strict
@@ -14,25 +16,37 @@
 // datacenter, which is always safe: incremental validation then degrades
 // to the full sweep it replaces.
 //
+// Each dirty device is either whole (any entry may change, the default
+// route included) or scoped to a prefix set: only entries whose prefix
+// lies inside one of the scope's prefixes may be added, removed or
+// rewritten, and the default entry stays as it was. A device whose
+// default entry can change is always whole. When one window holds
+// several changes, whole beats scoped and scopes of the same device
+// unite.
+//
 // Per change type, with l = leaf of cluster c on plane j:
 //
-//   - ToR–leaf link: the hosting cluster's plane-j leaf is the unique
-//     injector of the ToR's prefixes into plane j, so the prefixes appear
+//   - ToR–leaf link (t — l): the hosting cluster's plane-j leaf is the
+//     unique injector of t's prefixes into plane j, so the prefixes appear
 //     or vanish across the whole plane and every ToR in the datacenter
-//     adjusts its ECMP set for them. Dirty: all ToRs, plane-j leaves,
-//     plane-j spines, all regional spines.
+//     adjusts its ECMP set for them. Dirty: t whole (its default route and
+//     every one of its specifics change); every other ToR, the plane-j
+//     leaves, the plane-j spines and all regional spines scoped to t's
+//     hosted prefixes — none of their default routes depends on a ToR
+//     link, and every other prefix's routes run over links the change did
+//     not touch.
 //
 //   - Leaf–spine link (l — s): the endpoints and every plane-j leaf (their
 //     via-spine route sets mention s), plus the regional spines adjacent
 //     to s. ToRs are only dragged in when the leaf above them may have
 //     gained or lost its *last* path for some remote cluster's prefixes or
 //     for the default route — checked per cluster against the alternative
-//     spines of the plane.
+//     spines of the plane. All whole.
 //
 //   - Spine–RS link (s — r): the endpoints; if s has no stable live RS
 //     link, its default-route origination may flip, dirtying the plane-j
 //     leaves, and any such leaf left without a stable default spine drags
-//     in its cluster's ToRs.
+//     in its cluster's ToRs. All whole.
 //
 //   - Everything else (ChangeDevice, unrecognized tiers): whole DC.
 //
@@ -45,20 +59,24 @@
 package delta
 
 import (
-	"sort"
+	"slices"
 
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/topology"
 )
 
-// Set is a blast-radius dirty set: either an explicit device set or the
-// conservative whole-datacenter fallback.
+// Set is a blast-radius dirty set: either an explicit device set, each
+// device whole or scoped to a prefix set, or the conservative
+// whole-datacenter fallback.
 type Set struct {
 	full bool
-	devs map[topology.DeviceID]struct{}
+	// devs maps each dirty device to its scope: nil for the whole device,
+	// else the prefixes inside which its entries may change.
+	devs map[topology.DeviceID][]ipnet.Prefix
 }
 
 // NewSet returns an empty dirty set.
-func NewSet() *Set { return &Set{devs: make(map[topology.DeviceID]struct{})} }
+func NewSet() *Set { return &Set{devs: make(map[topology.DeviceID][]ipnet.Prefix)} }
 
 // Full reports whether the set degenerated to the whole datacenter.
 func (s *Set) Full() bool { return s.full }
@@ -66,17 +84,52 @@ func (s *Set) Full() bool { return s.full }
 // MarkFull degrades the set to the whole-datacenter fallback.
 func (s *Set) MarkFull() { s.full = true }
 
-// Add inserts one device.
+// Add marks one device whole: any of its entries may change.
 func (s *Set) Add(d topology.DeviceID) {
 	if !s.full {
-		s.devs[d] = struct{}{}
+		s.devs[d] = nil
 	}
 }
 
-// AddAll inserts a slice of devices.
+// AddAll marks a slice of devices whole.
 func (s *Set) AddAll(ds []topology.DeviceID) {
 	for _, d := range ds {
 		s.Add(d)
+	}
+}
+
+// AddScoped marks one device dirty inside the prefixes ps only: entries
+// whose prefix lies inside none of them, and the default entry, keep
+// their previous state. A device already whole stays whole; scopes of
+// the same device unite. An empty ps marks the device whole.
+func (s *Set) AddScoped(d topology.DeviceID, ps []ipnet.Prefix) {
+	if s.full {
+		return
+	}
+	cur, ok := s.devs[d]
+	switch {
+	case len(ps) == 0 || (ok && cur == nil):
+		s.devs[d] = nil
+		return
+	case !ok:
+		// Devices scoped by one rule share its slice; clipping makes a
+		// later union copy instead of writing into it.
+		s.devs[d] = slices.Clip(ps)
+		return
+	}
+	merged := slices.Clip(cur)
+	for _, p := range ps {
+		if !slices.Contains(merged, p) {
+			merged = append(merged, p)
+		}
+	}
+	s.devs[d] = merged
+}
+
+// AddAllScoped scopes a slice of devices to the same prefixes.
+func (s *Set) AddAllScoped(ds []topology.DeviceID, ps []ipnet.Prefix) {
+	for _, d := range ds {
+		s.AddScoped(d, ps)
 	}
 }
 
@@ -90,6 +143,17 @@ func (s *Set) Contains(d topology.DeviceID) bool {
 	return ok
 }
 
+// Scope returns the prefixes a dirty device is scoped to, with scoped
+// true, or scoped false when the device is whole, not dirty, or the set
+// is full. The slice is shared; treat it as immutable.
+func (s *Set) Scope(d topology.DeviceID) (ps []ipnet.Prefix, scoped bool) {
+	if s.full {
+		return nil, false
+	}
+	ps = s.devs[d]
+	return ps, ps != nil
+}
+
 // Count returns the number of explicitly dirty devices (0 for a full set;
 // use Full to distinguish).
 func (s *Set) Count() int {
@@ -99,8 +163,23 @@ func (s *Set) Count() int {
 	return len(s.devs)
 }
 
-// Devices returns the dirty devices in ascending ID order, or nil for a
-// full set.
+// Scoped returns the number of dirty devices scoped to a prefix set (0
+// for a full set); Count minus Scoped devices are whole.
+func (s *Set) Scoped() int {
+	if s.full {
+		return 0
+	}
+	n := 0
+	for _, ps := range s.devs {
+		if ps != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Devices returns the dirty devices, whole and scoped, in ascending ID
+// order, or nil for a full set.
 func (s *Set) Devices() []topology.DeviceID {
 	if s.full {
 		return nil
@@ -109,7 +188,7 @@ func (s *Set) Devices() []topology.DeviceID {
 	for d := range s.devs {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -126,13 +205,14 @@ type Options struct {
 	UnboundedConfig bool
 
 	// Metrics, when non-nil, records the size of every computed blast
-	// radius (or a fallback counter tick when it degrades to full).
+	// radius, whole and scoped devices apart, or a fallback counter tick
+	// when it degrades to full (a truncated journal included).
 	Metrics *Metrics
 }
 
-// scope carries the per-window state the blast rules consult: the
+// window carries the per-window state the blast rules consult: the
 // topology and the set of links touched anywhere in the change window.
-type scope struct {
+type window struct {
 	t       *topology.Topology
 	changed map[topology.LinkID]bool
 }
@@ -148,6 +228,7 @@ func Since(t *topology.Topology, gen uint64, opts Options) *Set {
 	if !ok {
 		s := NewSet()
 		s.MarkFull()
+		opts.Metrics.observeSet(s)
 		return s
 	}
 	return Compute(t, changes, opts)
@@ -159,7 +240,7 @@ func Since(t *topology.Topology, gen uint64, opts Options) *Set {
 func Compute(t *topology.Topology, changes []topology.Change, opts Options) *Set {
 	s := NewSet()
 	defer func() { opts.Metrics.observeSet(s) }()
-	sc := scope{t: t, changed: make(map[topology.LinkID]bool, len(changes))}
+	sc := window{t: t, changed: make(map[topology.LinkID]bool, len(changes))}
 	for _, c := range changes {
 		if c.Kind == topology.ChangeDevice || opts.UnboundedConfig {
 			s.MarkFull()
@@ -177,7 +258,7 @@ func Compute(t *topology.Topology, changes []topology.Change, opts Options) *Set
 }
 
 // blastLink adds the dirty set of one link state change.
-func (sc scope) blastLink(l *topology.Link, s *Set) {
+func (sc window) blastLink(l *topology.Link, s *Set) {
 	t := sc.t
 	a, b := t.Device(l.A), t.Device(l.B)
 	if a.Role > b.Role {
@@ -185,7 +266,7 @@ func (sc scope) blastLink(l *topology.Link, s *Set) {
 	}
 	switch {
 	case a.Role == topology.RoleToR && b.Role == topology.RoleLeaf:
-		sc.blastToRLeaf(b, s)
+		sc.blastToRLeaf(a, b, s)
 	case a.Role == topology.RoleLeaf && b.Role == topology.RoleSpine:
 		sc.blastLeafSpine(a, b, s)
 	case a.Role == topology.RoleSpine && b.Role == topology.RoleRegionalSpine:
@@ -199,18 +280,21 @@ func (sc scope) blastLink(l *topology.Link, s *Set) {
 
 // blastToRLeaf handles a ToR–leaf link change: the ToR's prefixes are
 // (un)injected into the leaf's whole plane, so every ToR in the DC and the
-// regional spines adjust their ECMP sets for them.
-func (sc scope) blastToRLeaf(leaf *topology.Device, s *Set) {
+// regional spines adjust their ECMP sets for them. The ToR itself is
+// whole; everyone else changes only inside the ToR's prefixes.
+func (sc window) blastToRLeaf(tor, leaf *topology.Device, s *Set) {
 	t := sc.t
-	s.AddAll(t.ToRs())
-	s.AddAll(planeLeaves(t, leaf.Plane))
-	s.AddAll(planeSpines(t, leaf.Plane))
-	s.AddAll(t.RegionalSpines())
+	ps := slices.Clone(tor.HostedPrefixes)
+	s.AddAllScoped(t.ToRs(), ps)
+	s.AddAllScoped(planeLeaves(t, leaf.Plane), ps)
+	s.AddAllScoped(planeSpines(t, leaf.Plane), ps)
+	s.AddAllScoped(t.RegionalSpines(), ps)
+	s.Add(tor.ID)
 }
 
 // blastLeafSpine handles a leaf–spine link change between leaf l (cluster
 // c, plane j) and spine sp.
-func (sc scope) blastLeafSpine(l, sp *topology.Device, s *Set) {
+func (sc window) blastLeafSpine(l, sp *topology.Device, s *Set) {
 	t := sc.t
 	s.Add(l.ID)
 	s.Add(sp.ID)
@@ -241,7 +325,7 @@ func (sc scope) blastLeafSpine(l, sp *topology.Device, s *Set) {
 
 // blastSpineRS handles a spine–RS link change between spine sp (plane j)
 // and regional spine r.
-func (sc scope) blastSpineRS(sp, r *topology.Device, s *Set) {
+func (sc window) blastSpineRS(sp, r *topology.Device, s *Set) {
 	t := sc.t
 	s.Add(sp.ID)
 	s.Add(r.ID)
@@ -263,7 +347,7 @@ func (sc scope) blastSpineRS(sp, r *topology.Device, s *Set) {
 // leafKeepsAllRoutes reports whether leaf l retains, over stable links
 // only, a live plane path to every other cluster and a default route —
 // i.e. whether l's route availability is provably unchanged by the window.
-func (sc scope) leafKeepsAllRoutes(l *topology.Device) bool {
+func (sc window) leafKeepsAllRoutes(l *topology.Device) bool {
 	t := sc.t
 	for c2 := 0; c2 < t.Params.Clusters; c2++ {
 		if c2 == l.Cluster {
@@ -279,7 +363,7 @@ func (sc scope) leafKeepsAllRoutes(l *topology.Device) bool {
 
 // hasStableSpinePath reports whether leaf from reaches leaf to over some
 // plane spine with both hops stable.
-func (sc scope) hasStableSpinePath(from, to topology.DeviceID) bool {
+func (sc window) hasStableSpinePath(from, to topology.DeviceID) bool {
 	for _, k := range planeSpines(sc.t, sc.t.Device(from).Plane) {
 		if sc.stable(from, k) && sc.stable(k, to) {
 			return true
@@ -290,7 +374,7 @@ func (sc scope) hasStableSpinePath(from, to topology.DeviceID) bool {
 
 // leafHasStableDefault reports whether leaf l has a stable link to a plane
 // spine that itself has a stable RS link (and hence a stable default).
-func (sc scope) leafHasStableDefault(l *topology.Device) bool {
+func (sc window) leafHasStableDefault(l *topology.Device) bool {
 	for _, k := range planeSpines(sc.t, l.Plane) {
 		if sc.stable(l.ID, k) && sc.spineHasStableRS(k) {
 			return true
@@ -300,7 +384,7 @@ func (sc scope) leafHasStableDefault(l *topology.Device) bool {
 }
 
 // spineHasStableRS reports whether spine sp has a stable live RS link.
-func (sc scope) spineHasStableRS(sp topology.DeviceID) bool {
+func (sc window) spineHasStableRS(sp topology.DeviceID) bool {
 	for _, r := range neighborsOfRole(sc.t, sp, topology.RoleRegionalSpine) {
 		if sc.stable(sp, r) {
 			return true
@@ -311,7 +395,7 @@ func (sc scope) spineHasStableRS(sp topology.DeviceID) bool {
 
 // stable reports whether the a—b link exists, is live now, and was not
 // touched anywhere in the change window — so it was live throughout.
-func (sc scope) stable(a, b topology.DeviceID) bool {
+func (sc window) stable(a, b topology.DeviceID) bool {
 	l, ok := sc.t.LinkBetween(a, b)
 	return ok && l.Live() && !sc.changed[l.ID]
 }

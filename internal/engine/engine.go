@@ -502,11 +502,11 @@ func (e *Engine) ValidateDelta(prev *rcdc.Report, opts Options) (*rcdc.Report, e
 
 // validateDeltaLocked is the one plan → revalidate → splice path: the
 // serving refresh and ValidateDelta both run here. delta.Since plans the
-// device set, the run's checker is resolved per call (so a default
-// engine set at any time takes effect), and rcdc's ValidateDelta splices
-// into prev. Without a Source override the device set runs on the shard
-// coordinator when one is installed, else on the engine's table-cached
-// source.
+// (device, prefix scope) work, the run's checker is resolved per call
+// (so a default engine set at any time takes effect), and rcdc's
+// ValidateScoped rechecks each scope and splices it into prev. Without a
+// Source override the work runs on the shard coordinator when one is
+// installed, else on the engine's table-cached source.
 func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Report, error) {
 	v := e.validatorLocked(opts)
 	switch {
@@ -528,13 +528,19 @@ func (e *Engine) validateDeltaLocked(prev *rcdc.Report, opts Options) (*rcdc.Rep
 	if ds.Full() {
 		return e.validateAllLocked(v, opts.Source)
 	}
-	e.pecInvalidateLocked(ds.Devices())
+	devs := ds.Devices()
+	e.pecInvalidateLocked(devs)
+	work := make([]rcdc.Scope, len(devs))
+	for i, d := range devs {
+		ps, _ := ds.Scope(d)
+		work[i] = rcdc.Scope{Device: d, Prefixes: ps}
+	}
 	gen := e.topo.Generation()
 	if e.cgen == nil {
 		e.cgen = contracts.NewGenerator(e.factsLocked())
 		e.cgen.EnableMemo()
 	}
-	rep, err := v.ValidateDelta(prev, e.factsLocked(), e.cgen, opts.Source, ds.Devices())
+	rep, err := v.ValidateScoped(prev, e.factsLocked(), e.cgen, opts.Source, work)
 	if rep != nil {
 		rep.Generation = gen
 	}

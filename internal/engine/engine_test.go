@@ -343,10 +343,10 @@ type countingSweeper struct {
 }
 
 func (c *countingSweeper) Run(v *rcdc.Validator, facts *metadata.Facts, gen *contracts.Generator,
-	devs []topology.DeviceID) ([]rcdc.DeviceReport, []error) {
+	work []rcdc.Scope) ([]rcdc.DeviceReport, []error) {
 	c.runs++
-	c.devices += len(devs)
-	return c.Coordinator.Run(v, facts, gen, devs)
+	c.devices += len(work)
+	return c.Coordinator.Run(v, facts, gen, work)
 }
 
 // TestSweeperHook: with a Sweeper installed, report refreshes run their

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -52,9 +53,10 @@ func e16Tables(topo *topology.Topology) map[topology.DeviceID]string {
 //
 // Sizes at or below verifyMax devices also run the soundness gate: every
 // device whose converged table actually changed must be inside the
-// computed blast radius, and the spliced delta report must agree with a
-// from-scratch full sweep. A violation panics, failing the bench-smoke CI
-// target.
+// computed blast radius, and the spliced delta report must render byte
+// for byte like a from-scratch full sweep — every device's contract
+// count and violations, Elapsed aside. A violation panics, failing the
+// bench-smoke CI target.
 func E16Incremental(deviceCounts []int, verifyMax int) (Result, []E16Row) {
 	var b strings.Builder
 	var rows []E16Row
@@ -135,11 +137,9 @@ func E16Incremental(deviceCounts []int, verifyMax int) (Result, []E16Row) {
 			if err != nil {
 				panic(err)
 			}
-			if rep.Checked != full.Checked || rep.Failures != full.Failures ||
-				len(rep.Devices) != len(full.Devices) {
-				panic(fmt.Sprintf("e16: delta report (checked=%d failures=%d devices=%d) diverges from full sweep (checked=%d failures=%d devices=%d)",
-					rep.Checked, rep.Failures, len(rep.Devices),
-					full.Checked, full.Failures, len(full.Devices)))
+			if got, want := e19Render(rep), e19Render(full); !bytes.Equal(got, want) {
+				panic(fmt.Sprintf("e16: delta report diverges from the full sweep at %d devices: %s",
+					len(topo.Devices), firstLineDiff(got, want)))
 			}
 		}
 
@@ -164,4 +164,22 @@ func E16Incremental(deviceCounts []int, verifyMax int) (Result, []E16Row) {
 		Table: b.String(),
 		Notes: "steady-state delta cycles revalidate only the blast radius of journaled changes; acceptance: ≤5% of devices dirty and ≥10x over the full sweep at ~2000 devices",
 	}, rows
+}
+
+// firstLineDiff names the first line where two renderings differ.
+func firstLineDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d: delta %q, full %q", i+1, gl, wl)
+		}
+	}
+	return "no differing line"
 }

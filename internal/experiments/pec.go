@@ -79,7 +79,8 @@ func e20Busy(rep *rcdc.Report) time.Duration {
 //     shapes and leave nothing to build for the following sweep;
 //   - speedup floor: when gateSpeedup is set (the largest size of a run),
 //     the warm PEC sweep must beat the warm trie sweep by >= 2x and the
-//     warm trie sweep must stay within 1.5x of the cold one.
+//     warm trie sweep must stay within 1.5x of the cold one (each trie
+//     side timed as the fastest of three sweeps).
 func e20Point(n int, gateSpeedup bool) E20Row {
 	topo := topology.MustNew(SizedParams("e20", n))
 	facts := metadata.FromTopology(topo)
@@ -100,8 +101,10 @@ func e20Point(n int, gateSpeedup bool) E20Row {
 		return rep
 	}
 
-	trieCold := run(trieV)
-	trieWarm := run(trieV)
+	// The trie pin compares two timings, so each side is the fastest of
+	// three sweeps: a single sweep on a loaded host can land anywhere.
+	trieCold, trieColdNS := runMin(run, trieV)
+	trieWarm, trieWarmNS := runMin(run, trieV)
 	privCold := run(privV)
 	sharedCold := run(sharedV)
 	sharedWarm := run(sharedV)
@@ -171,8 +174,8 @@ func e20Point(n int, gateSpeedup bool) E20Row {
 		HopSets:         stPriv.HopSets,
 		SlowContracts:   stPriv.SlowPathContracts,
 		DistinctShapes:  stShared.Shapes,
-		TrieColdNS:      int64(e20Busy(trieCold)),
-		TrieWarmNS:      int64(e20Busy(trieWarm)),
+		TrieColdNS:      int64(trieColdNS),
+		TrieWarmNS:      int64(trieWarmNS),
 		PECColdNS:       int64(e20Busy(privCold)),
 		PECSharedColdNS: int64(e20Busy(sharedCold)),
 		PECWarmNS:       int64(e20Busy(sharedWarm)),
@@ -208,6 +211,17 @@ func e20Point(n int, gateSpeedup bool) E20Row {
 	return row
 }
 
+// runMin runs three sweeps of v and returns the first report with the
+// smallest busy time of the three.
+func runMin(run func(*rcdc.Validator) *rcdc.Report, v *rcdc.Validator) (*rcdc.Report, time.Duration) {
+	first := run(v)
+	best := e20Busy(first)
+	for i := 0; i < 2; i++ {
+		best = min(best, e20Busy(run(v)))
+	}
+	return first, best
+}
+
 // E20PEC benchmarks the packet-equivalence-class engine against the trie
 // engine across fleet sizes: per size, cold full sweeps through the
 // per-device path and the shared atom arena (near-clone devices dedupe
@@ -241,6 +255,6 @@ func E20PEC(deviceCounts []int) (Result, []E20Row) {
 		ID:    "E20",
 		Title: "packet-equivalence-class engine vs trie: shared-arena dedup and warm-sweep speedup with byte-identity gates",
 		Table: b.String(),
-		Notes: "cold sweeps atomize every FIB into destination equivalence classes — per-device (pec-cold) or once per distinct fleet shape through the shared atom arena (arena-cold); warm sweeps answer from content-hash caches (the monitoring steady state); every point renders byte-identically to the trie engine and agrees with the SMT engine on a per-role sample; sizes >= 2008 must clear a 2x shared-cold dedup floor and the largest point a 2x warm-speedup floor plus a trie warm<=1.5x-cold pin (the synth table cache once put GC assists inside timed checks and made warm sweeps look slower than cold) — violations panic, failing make pec-smoke; on single-core hosts (GOMAXPROCS=1, as in CI) the arena's cold win is pure dedup, with shape-parallel Prewarm adding on multi-core",
+		Notes: "cold sweeps atomize every FIB into destination equivalence classes — per-device (pec-cold) or once per distinct fleet shape through the shared atom arena (arena-cold); warm sweeps answer from content-hash caches (the monitoring steady state); every point renders byte-identically to the trie engine and agrees with the SMT engine on a per-role sample; sizes >= 2008 must clear a 2x shared-cold dedup floor and the largest point a 2x warm-speedup floor plus a trie warm<=1.5x-cold pin, each side the fastest of three sweeps (the synth table cache once put GC assists inside timed checks and made warm sweeps look slower than cold) — violations panic, failing make pec-smoke; on single-core hosts (GOMAXPROCS=1, as in CI) the arena's cold win is pure dedup, with shape-parallel Prewarm adding on multi-core",
 	}, rows
 }

@@ -52,6 +52,25 @@ func (t *Table) Add(e Entry) {
 	t.trie.Store(nil)
 }
 
+// Overlapping returns a new table holding t's default entry and every
+// entry whose prefix overlaps one of ps — contains it or lies inside it —
+// in table order. Entries (and their NextHops slices) are shared with t.
+//
+// It is the exact input of a per-prefix contract check: the trie and PEC
+// engines' verdict for a specific contract on prefix p reads only the
+// rules that contain p or lie inside it, plus the default route, so
+// checking the contracts on ps against Overlapping(ps) gives the same
+// violations as checking them against t.
+func (t *Table) Overlapping(ps []ipnet.Prefix) *Table {
+	out := NewTable(t.Device)
+	for i := range t.Entries {
+		if p := t.Entries[i].Prefix; p.IsDefault() || p.OverlapsAny(ps) {
+			out.Entries = append(out.Entries, t.Entries[i])
+		}
+	}
+	return out
+}
+
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.Entries) }
 

@@ -10,6 +10,8 @@ package ipnet
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -135,6 +137,59 @@ func (p Prefix) ContainsPrefix(q Prefix) bool {
 // Overlaps reports whether the two prefixes share any address.
 func (p Prefix) Overlaps(q Prefix) bool {
 	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
+}
+
+// OverlapsAny reports whether p overlaps one of ps.
+func (p Prefix) OverlapsAny(ps []Prefix) bool {
+	for _, q := range ps {
+		if p.Overlaps(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// SortedDisjoint reports whether the prefixes at(0), ..., at(n-1) ascend
+// by address and are pairwise disjoint.
+func SortedDisjoint(n int, at func(int) Prefix) bool {
+	for i := 1; i < n; i++ {
+		if at(i-1).Last() >= at(i).First() {
+			return false
+		}
+	}
+	return true
+}
+
+// Overlapping returns, in ascending order, the indices i < n whose
+// prefix at(i) overlaps one of ps. When sorted is set — the prefixes
+// are SortedDisjoint — it binary-searches, in O(|ps| log n); otherwise
+// it scans all n.
+func Overlapping(n int, at func(int) Prefix, ps []Prefix, sorted bool) []int {
+	var out []int
+	if !sorted {
+		for i := 0; i < n; i++ {
+			if at(i).OverlapsAny(ps) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	for _, p := range ps {
+		// The prefixes overlapping p: the one before the first starting
+		// at or after p (if it contains p), then those starting inside p.
+		i := sort.Search(n, func(k int) bool { return at(k).First() >= p.First() })
+		if i > 0 && at(i-1).Overlaps(p) {
+			out = append(out, i-1)
+		}
+		for ; i < n && at(i).First() <= p.Last(); i++ {
+			out = append(out, i)
+		}
+	}
+	if len(ps) > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out
 }
 
 // IsDefault reports whether p is the default route 0.0.0.0/0.

@@ -250,3 +250,113 @@ func FuzzArenaDifferential(f *testing.F) {
 		}
 	})
 }
+
+// inside returns a random prefix inside q (q itself included).
+func (r *fuzzReader) inside(q ipnet.Prefix) ipnet.Prefix {
+	raw := r.prefix()
+	bits := max(raw.Bits, q.Bits)
+	m := q.Mask()
+	return ipnet.PrefixFrom(q.Addr&m|raw.Addr&^m, bits)
+}
+
+// scopedEdit returns a copy of tbl edited only inside the scope ps:
+// entries whose prefix lies inside one of ps are added, removed or
+// given new next hops; the default entry is never touched.
+func (r *fuzzReader) scopedEdit(tbl *fib.Table, ps []ipnet.Prefix) *fib.Table {
+	entries := append([]fib.Entry(nil), tbl.Entries...)
+	inScope := func(p ipnet.Prefix) bool {
+		if p.IsDefault() {
+			return false
+		}
+		for _, q := range ps {
+			if q.ContainsPrefix(p) {
+				return true
+			}
+		}
+		return false
+	}
+	for n := 1 + int(r.byte())%4; n > 0; n-- {
+		switch r.byte() % 3 {
+		case 0: // add a rule inside the scope
+			p := r.inside(ps[int(r.byte())%len(ps)])
+			if p.IsDefault() {
+				continue
+			}
+			e := fib.Entry{Prefix: p, NextHops: r.hopSet()}
+			if r.byte()%6 == 0 {
+				e = fib.Entry{Prefix: p, Connected: true}
+			}
+			entries = append(entries, e)
+		case 1: // remove a rule inside the scope
+			var idx []int
+			for i := range entries {
+				if inScope(entries[i].Prefix) {
+					idx = append(idx, i)
+				}
+			}
+			if len(idx) > 0 {
+				i := idx[int(r.byte())%len(idx)]
+				entries = append(entries[:i:i], entries[i+1:]...)
+			}
+		case 2: // rewire a rule inside the scope
+			for i := range entries {
+				if inScope(entries[i].Prefix) && r.byte()%2 == 0 {
+					entries[i] = fib.Entry{Prefix: entries[i].Prefix, NextHops: r.hopSet()}
+				}
+			}
+		}
+	}
+	out := fib.NewTable(tbl.Device)
+	for _, e := range entries {
+		out.Add(e)
+	}
+	return out
+}
+
+// FuzzScopedSplice is the differential line of the two-dimensional delta
+// path: a random table and contract set, then a random edit confined to
+// a prefix scope (the promise a scoped blast radius makes). Rechecking
+// only the contracts the scope selects, against the edited table
+// restricted to the entries overlapping them, and splicing the result
+// into the old violations must equal a full check of the edited table —
+// with the trie engine and with the PEC engine (arena on), whose
+// per-device cache then holds the restricted state.
+func FuzzScopedSplice(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 5, 10, 1, 2, 3, 0, 4, 2, 2, 0, 3, 9, 9, 9, 1, 1, 7, 1, 0, 1, 2, 3, 0, 2, 1})
+	f.Add([]byte{0, 0, 24, 0, 0, 0, 0, 0, 3, 1, 2, 3, 7, 0, 0, 0, 0, 0, 2, 2, 2,
+		8, 12, 0, 255, 1, 0, 2, 4, 5, 1, 0, 0, 0, 0, 0, 1, 1, 3, 7, 0, 0, 0, 0, 3, 0, 5, 0, 0, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzReader{data: data}
+		tbl, dc, role, exact := r.decode()
+		ps := []ipnet.Prefix{r.prefix()}
+		if r.byte()%3 == 0 {
+			ps = append(ps, r.prefix())
+		}
+		edited := r.scopedEdit(tbl, ps)
+
+		trie := rcdc.TrieChecker{Exact: exact}
+		want, err := trie.CheckDevice(edited, dc, role)
+		if err != nil {
+			t.Fatalf("trie: %v", err)
+		}
+		for _, chk := range []rcdc.Checker{trie, &Checker{Exact: exact}} {
+			prev, err := chk.CheckDevice(tbl, dc, role)
+			if err != nil {
+				t.Fatalf("%T prev: %v", chk, err)
+			}
+			sub, cps := dc.Scoped(ps)
+			var fresh []rcdc.Violation
+			if len(sub.Contracts) > 0 {
+				if fresh, err = chk.CheckDevice(edited.Overlapping(cps), sub, role); err != nil {
+					t.Fatalf("%T scoped: %v", chk, err)
+				}
+			}
+			got := rcdc.SpliceScoped(prev, fresh, ps, func() contracts.DeviceContracts { return dc })
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%T: scoped splice diverges from the full check (exact=%v, scope %v)\nbefore: %+v\nafter:  %+v\ncontracts: %+v\nfull:    %v\nspliced: %v",
+					chk, exact, ps, tbl.Entries, edited.Entries, dc.Contracts, want, got)
+			}
+		}
+	})
+}

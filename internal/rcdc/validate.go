@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"dcvalidate/internal/clock"
 	"dcvalidate/internal/contracts"
 	"dcvalidate/internal/fib"
+	"dcvalidate/internal/ipnet"
 	"dcvalidate/internal/metadata"
 	"dcvalidate/internal/obs"
 	"dcvalidate/internal/topology"
@@ -102,22 +104,55 @@ type Validator struct {
 	// returned report and its device slice are views into the scratch,
 	// valid only until the next ValidateAll on the same validator.
 	Scratch *Scratch
-	// Runner, when non-nil, executes the device sets of ValidateAll and
-	// ValidateDelta in place of the worker pool (and of the Scratch
-	// path). The runner pulls the tables itself, so the source argument
-	// of those calls is unused.
+	// Runner, when non-nil, executes the work of ValidateAll,
+	// ValidateScoped and ValidateDelta in place of the worker pool (and
+	// of the Scratch path). The runner supplies the FIB sources itself,
+	// so the source argument of those calls is unused.
 	Runner Runner
 }
 
-// Runner executes one device set of a validation run: it pulls each
-// device's table, checks it with v.ValidateDevice against gen's
-// contracts, and returns the reports in ascending device order together
-// with every per-device error (an errored device produces no report).
-// The validator's own worker pool over the run's FIB source is the
-// default runner; the shard coordinator (internal/shard) is the other,
-// placing devices on validator shards that pull from their own sources.
+// Runner executes the work of one validation run: it checks each scope
+// with v.CheckScope against gen's contracts and a FIB source of its own,
+// and returns the reports in ascending device order together with every
+// per-device error (an errored device produces no report). The
+// validator's own worker pool over the run's FIB source is the default
+// runner; the shard coordinator (internal/shard) is the other, placing
+// devices on validator shards that pull from their own sources.
 type Runner interface {
-	Run(v *Validator, facts *metadata.Facts, gen *contracts.Generator, devs []topology.DeviceID) ([]DeviceReport, []error)
+	Run(v *Validator, facts *metadata.Facts, gen *contracts.Generator, work []Scope) ([]DeviceReport, []error)
+}
+
+// Scope is one device's share of a validation run: the device, and the
+// prefixes whose contracts the run rechecks on it. Nil Prefixes means
+// the whole device.
+//
+// A prefix scope is a promise about the device's table since the report
+// the run splices into (the one internal/delta's blast radius gives):
+// only entries whose prefix lies inside one of Prefixes were added,
+// removed or rewritten, and the default entry did not change. Every
+// contract that overlaps none of Prefixes — and every default contract —
+// therefore keeps its verdict, and only the specific contracts
+// overlapping them are rechecked.
+type Scope struct {
+	Device   topology.DeviceID
+	Prefixes []ipnet.Prefix
+}
+
+// WholeDevices returns one whole-device scope per device.
+func WholeDevices(devs []topology.DeviceID) []Scope {
+	out := make([]Scope, len(devs))
+	for i, d := range devs {
+		out[i] = Scope{Device: d}
+	}
+	return out
+}
+
+// rechecks reports whether a scoped run rechecks contract c: a specific
+// contract overlapping the scope (the contracts DeviceContracts.Scoped
+// selects). The verdict of any other contract reads only entries the
+// scope promises unchanged.
+func rechecks(c *contracts.Contract, ps []ipnet.Prefix) bool {
+	return c.Kind == contracts.Specific && c.Prefix.OverlapsAny(ps)
 }
 
 // Scratch holds the reusable backing arrays of the sequential
@@ -152,6 +187,42 @@ func (v *Validator) ValidateDevice(facts *metadata.Facts, tbl *fib.Table, dc con
 	return rep, nil
 }
 
+// CheckScope pulls and checks one scope of a run. A whole scope is
+// ValidateDevice over src's table. A prefix scope checks only the
+// device's specific contracts that overlap the scope
+// (Generator.ForDeviceScoped), against the table restricted to the
+// default entry and the entries overlapping those contracts
+// (fib.PullOverlapping) — exact, because a specific contract's verdict
+// reads nothing else. Its report's Contracts and Violations count and
+// hold those contracts alone, and its Elapsed is the scoped check's
+// time; ValidateScoped splices it into the previous report.
+func (v *Validator) CheckScope(facts *metadata.Facts, gen *contracts.Generator, src fib.Source, sc Scope) (DeviceReport, error) {
+	if sc.Prefixes == nil {
+		tbl, err := src.Table(sc.Device)
+		if err != nil {
+			return DeviceReport{}, fmt.Errorf("rcdc: pulling table for device %d: %w", sc.Device, err)
+		}
+		return v.ValidateDevice(facts, tbl, gen.ForDevice(sc.Device))
+	}
+	df := facts.Device(sc.Device)
+	sub, ps := gen.ForDeviceScoped(sc.Device, sc.Prefixes)
+	rep := DeviceReport{Device: sc.Device, Name: df.Name, Role: df.Role, Contracts: len(sub.Contracts)}
+	if len(sub.Contracts) > 0 {
+		tbl, err := fib.PullOverlapping(src, sc.Device, ps)
+		if err != nil {
+			return DeviceReport{}, fmt.Errorf("rcdc: pulling table for device %d: %w", sc.Device, err)
+		}
+		start := clock.Or(v.Clock).Now()
+		rep.Violations, err = v.checker().CheckDevice(tbl, sub, df.Role)
+		if err != nil {
+			return DeviceReport{}, err
+		}
+		rep.Elapsed = clock.Since(v.Clock, start)
+	}
+	v.Metrics.observeDevice(&rep)
+	return rep, nil
+}
+
 func (v *Validator) workers() int {
 	if v.Workers > 0 {
 		return v.Workers
@@ -159,43 +230,38 @@ func (v *Validator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// validateSet runs one device set through the Runner, or else through
-// the worker pool, pulling each FIB from the source and validating it
-// against gen's contracts. It returns the per-device reports in
-// ascending device order together with every per-device error (the two
-// are disjoint: an errored device produces no report).
-func (v *Validator) validateSet(facts *metadata.Facts, gen *contracts.Generator,
-	source fib.Source, devs []topology.DeviceID) ([]DeviceReport, []error) {
+// runSet runs one run's work through the Runner, or else through the
+// worker pool, checking each scope against gen's contracts and the
+// source's FIBs. It returns the per-device reports in ascending device
+// order together with every per-device error (the two are disjoint: an
+// errored device produces no report).
+func (v *Validator) runSet(facts *metadata.Facts, gen *contracts.Generator,
+	source fib.Source, work []Scope) ([]DeviceReport, []error) {
 	if v.Runner != nil {
-		return v.Runner.Run(v, facts, gen, devs)
+		return v.Runner.Run(v, facts, gen, work)
 	}
 	type result struct {
 		rep DeviceReport
 		err error
 	}
-	ids := make(chan topology.DeviceID)
+	scopes := make(chan Scope)
 	results := make(chan result)
 	var wg sync.WaitGroup
 	for w := 0; w < v.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for id := range ids {
-				tbl, err := source.Table(id)
-				if err != nil {
-					results <- result{err: fmt.Errorf("rcdc: pulling table for device %d: %w", id, err)}
-					continue
-				}
-				rep, err := v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+			for sc := range scopes {
+				rep, err := v.CheckScope(facts, gen, source, sc)
 				results <- result{rep: rep, err: err}
 			}
 		}()
 	}
 	go func() {
-		for _, id := range devs {
-			ids <- id
+		for _, sc := range work {
+			scopes <- sc
 		}
-		close(ids)
+		close(scopes)
 		wg.Wait()
 		close(results)
 	}()
@@ -230,18 +296,18 @@ func (v *Validator) ValidateAll(facts *metadata.Facts, source fib.Source) (*Repo
 		return v.validateAllSeq(facts, source)
 	}
 	start := clock.Or(v.Clock).Now()
-	devs := make([]topology.DeviceID, len(facts.Devices))
+	work := make([]Scope, len(facts.Devices))
 	for i := range facts.Devices {
-		devs[i] = facts.Devices[i].ID
+		work[i] = Scope{Device: facts.Devices[i].ID}
 	}
-	reps, errs := v.validateSet(facts, v.gen(facts), source, devs)
+	reps, errs := v.runSet(facts, v.gen(facts), source, work)
 	rep := &Report{Workers: v.workers(), Devices: reps}
 	for i := range reps {
 		rep.Checked += reps[i].Contracts
 		rep.Failures += len(reps[i].Violations)
 	}
 	rep.Elapsed = clock.Since(v.Clock, start)
-	v.Metrics.observeRun("full", rep, len(devs), busyTime(reps))
+	v.Metrics.observeRun("full", rep, len(work), busyTime(reps))
 	return rep, errors.Join(errs...)
 }
 
@@ -296,21 +362,33 @@ func (v *Validator) validateAllSeq(facts *metadata.Facts, source fib.Source) (*R
 	return rep, errors.Join(s.errs...)
 }
 
-// ValidateDelta revalidates only the dirty devices (a blast-radius set
+// ValidateDelta revalidates the dirty devices whole (a blast-radius set
 // from internal/delta) and splices the fresh results into prev, carrying
-// every other device's result forward unchanged. The spliced report keeps
-// the sorted-by-device order, so a delta report over an accurate dirty set
-// is byte-identical to a from-scratch full sweep under a fixed clock — the
-// determinism invariant the equivalence test locks.
+// every other device's result forward unchanged: ValidateScoped with a
+// whole-device scope per dirty device.
+func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *contracts.Generator,
+	source fib.Source, dirty []topology.DeviceID) (*Report, error) {
+	return v.ValidateScoped(prev, facts, gen, source, WholeDevices(dirty))
+}
+
+// ValidateScoped revalidates only the dirty scopes and splices the fresh
+// results into prev, carrying every other device's result forward
+// unchanged: a whole scope replaces the device's result, a prefix scope
+// replaces the violations of the contracts it rechecked, in contract
+// order, and the check time (see Scope). The spliced report keeps the sorted-by-device
+// order, so a delta report over an accurate dirty set is byte-identical
+// to a from-scratch full sweep under a fixed clock — the determinism
+// invariant the equivalence tests lock. A prefix scope on a device prev
+// has no result for is checked whole.
 //
 // prev must be a complete report over the same device set (typically from
-// ValidateAll or an earlier ValidateDelta); it is not mutated. gen may be
+// ValidateAll or an earlier delta run); it is not mutated. gen may be
 // nil for a transient generator, or a shared memoizing generator to
 // amortize contract generation across repeated delta validations.
 // Per-device failures degrade as in ValidateAll: a failed dirty device
 // keeps its previous result, and the error return enumerates the failures.
-func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *contracts.Generator,
-	source fib.Source, dirty []topology.DeviceID) (*Report, error) {
+func (v *Validator) ValidateScoped(prev *Report, facts *metadata.Facts, gen *contracts.Generator,
+	source fib.Source, dirty []Scope) (*Report, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("rcdc: ValidateDelta requires a previous report")
 	}
@@ -320,19 +398,39 @@ func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *cont
 	if gen == nil {
 		gen = v.gen(facts)
 	}
-	fresh, errs := v.validateSet(facts, gen, source, dirty)
+	pos := make(map[topology.DeviceID]int, len(prev.Devices))
+	for i := range prev.Devices {
+		pos[prev.Devices[i].Device] = i
+	}
+	work := slices.Clone(dirty)
+	scoped := make(map[topology.DeviceID][]ipnet.Prefix)
+	for i := range work {
+		sc := &work[i]
+		if sc.Prefixes == nil {
+			continue
+		}
+		if _, ok := pos[sc.Device]; !ok {
+			sc.Prefixes = nil
+			continue
+		}
+		scoped[sc.Device] = sc.Prefixes
+	}
+	fresh, errs := v.runSet(facts, gen, source, work)
 
 	rep := &Report{Workers: v.workers()}
 	rep.Devices = append([]DeviceReport(nil), prev.Devices...)
-	pos := make(map[topology.DeviceID]int, len(rep.Devices))
-	for i := range rep.Devices {
-		pos[rep.Devices[i].Device] = i
-	}
 	for _, fr := range fresh {
-		if i, ok := pos[fr.Device]; ok {
-			rep.Devices[i] = fr
-		} else {
+		i, ok := pos[fr.Device]
+		switch {
+		case !ok:
 			rep.Devices = append(rep.Devices, fr)
+		case scoped[fr.Device] != nil:
+			d, dr := fr.Device, &rep.Devices[i]
+			dr.Violations = SpliceScoped(dr.Violations, fr.Violations, scoped[d],
+				func() contracts.DeviceContracts { return gen.ForDevice(d) })
+			dr.Elapsed = fr.Elapsed
+		default:
+			rep.Devices[i] = fr
 		}
 	}
 	sort.Slice(rep.Devices, func(i, j int) bool { return rep.Devices[i].Device < rep.Devices[j].Device })
@@ -343,4 +441,72 @@ func (v *Validator) ValidateDelta(prev *Report, facts *metadata.Facts, gen *cont
 	rep.Elapsed = clock.Since(v.Clock, start)
 	v.Metrics.observeRun("delta", rep, len(dirty), busyTime(fresh))
 	return rep, errors.Join(errs...)
+}
+
+// SpliceScoped returns a device's violations after a recheck scoped to
+// ps: prev's violations of the contracts the scope did not recheck, and
+// fresh (the violations of the rechecked contracts, DeviceContracts
+// Scoped(ps), in contract order), merged into the order of the device's
+// contracts — the order every checker reports in. contractsOf returns
+// the device's full contract set; it is called only when both sides hold
+// violations. Each contract contributes one contiguous run, and
+// identical contracts identical runs, so a contract's run length is its
+// key's violation count over the key's copies.
+func SpliceScoped(prev, fresh []Violation, ps []ipnet.Prefix, contractsOf func() contracts.DeviceContracts) []Violation {
+	var kept []Violation
+	for i := range prev {
+		if !rechecks(&prev[i].Contract, ps) {
+			kept = append(kept, prev[i])
+		}
+	}
+	switch {
+	case len(fresh) == 0:
+		return kept
+	case len(kept) == 0:
+		return fresh
+	}
+	// Only contracts sharing a kind and prefix with some violation can
+	// own a run; the rest are skipped without building their key.
+	type kindPrefix struct {
+		kind   contracts.Kind
+		prefix ipnet.Prefix
+	}
+	failing := make(map[kindPrefix]bool)
+	count := make(map[string]int)
+	for _, vs := range [][]Violation{kept, fresh} {
+		for i := range vs {
+			c := &vs[i].Contract
+			failing[kindPrefix{c.Kind, c.Prefix}] = true
+			count[contractKey(c)]++
+		}
+	}
+	dc := contractsOf()
+	copies := make(map[string]int)
+	for i := range dc.Contracts {
+		if c := &dc.Contracts[i]; failing[kindPrefix{c.Kind, c.Prefix}] {
+			copies[contractKey(c)]++
+		}
+	}
+	out := make([]Violation, 0, len(kept)+len(fresh))
+	for i := range dc.Contracts {
+		c := &dc.Contracts[i]
+		if !failing[kindPrefix{c.Kind, c.Prefix}] {
+			continue
+		}
+		from := &kept
+		if rechecks(c, ps) {
+			from = &fresh
+		}
+		k := contractKey(c)
+		n := min(count[k]/copies[k], len(*from))
+		out = append(out, (*from)[:n]...)
+		*from = (*from)[n:]
+	}
+	return append(append(out, kept...), fresh...)
+}
+
+// contractKey renders a contract's identity within one device: kind,
+// prefix and expected next hops.
+func contractKey(c *contracts.Contract) string {
+	return fmt.Sprint(c.Kind, c.Prefix, c.NextHops)
 }

@@ -3,15 +3,15 @@ package shard
 import (
 	"sync"
 
-	"dcvalidate/internal/topology"
+	"dcvalidate/internal/rcdc"
 )
 
-// chunk is one unit of sweep work: a run of devices all owned by one
-// shard, validated against that shard's FIB source regardless of which
-// worker executes it.
+// chunk is one unit of sweep work: a run of device scopes all owned by
+// one shard, validated against that shard's FIB source regardless of
+// which worker executes it.
 type chunk struct {
 	owner int
-	devs  []topology.DeviceID
+	work  []rcdc.Scope
 }
 
 // chunkSize bounds a chunk: small enough that stealing rebalances a
@@ -61,16 +61,13 @@ func (d *deque) stealTop() (chunk, bool) {
 	return c, true
 }
 
-// chunked splits devs into owner-tagged chunks.
-func chunked(owner int, devs []topology.DeviceID) []chunk {
+// chunked splits work into owner-tagged chunks.
+func chunked(owner int, work []rcdc.Scope) []chunk {
 	var out []chunk
-	for len(devs) > 0 {
-		n := chunkSize
-		if n > len(devs) {
-			n = len(devs)
-		}
-		out = append(out, chunk{owner: owner, devs: devs[:n]})
-		devs = devs[n:]
+	for len(work) > 0 {
+		n := min(chunkSize, len(work))
+		out = append(out, chunk{owner: owner, work: work[:n]})
+		work = work[n:]
 	}
 	return out
 }

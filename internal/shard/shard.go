@@ -93,25 +93,26 @@ func (c *Coordinator) Devices(i int) []topology.DeviceID {
 	return append([]topology.DeviceID(nil), c.shards[i].devices...)
 }
 
-// Run validates devs (the rcdc.Runner hook): each device goes to its
-// owning shard's queue and is checked by v against the owner's FIB
-// source. An empty set runs nothing. Reports come back in ascending
-// device order, errors alongside, exactly as from the validator's own
-// pool.
+// Run validates work (the rcdc.Runner hook): each device scope goes to
+// its owning shard's queue and is checked by v.CheckScope against the
+// owner's FIB source. An empty set runs nothing. Reports come back in
+// ascending device order, errors alongside, exactly as from the
+// validator's own pool.
 func (c *Coordinator) Run(v *rcdc.Validator, facts *metadata.Facts, gen *contracts.Generator,
-	devs []topology.DeviceID) ([]rcdc.DeviceReport, []error) {
-	if len(devs) == 0 {
+	work []rcdc.Scope) ([]rcdc.DeviceReport, []error) {
+	if len(work) == 0 {
 		return nil, nil
 	}
-	work := make([][]topology.DeviceID, len(c.shards))
-	for _, id := range devs {
-		work[c.owner[id]] = append(work[c.owner[id]], id)
+	owned := make([][]rcdc.Scope, len(c.shards))
+	for _, sc := range work {
+		o := c.owner[sc.Device]
+		owned[o] = append(owned[o], sc)
 	}
 	queues := make([]*deque, len(c.shards))
 	for i, s := range c.shards {
 		s.synth.Refresh()
 		queues[i] = &deque{}
-		for _, ch := range chunked(i, work[i]) {
+		for _, ch := range chunked(i, owned[i]) {
 			queues[i].push(ch)
 		}
 	}
@@ -149,15 +150,8 @@ func (c *Coordinator) drain(v *rcdc.Validator, facts *metadata.Facts, gen *contr
 				}
 				chunkStart := clock.Or(c.opts.Clock).Now()
 				src := c.shards[ch.owner].synth
-				for _, id := range ch.devs {
-					tbl, err := src.Table(id)
-					if err != nil {
-						outMu.Lock()
-						errs = append(errs, fmt.Errorf("rcdc: pulling table for device %d: %w", id, err))
-						outMu.Unlock()
-						continue
-					}
-					rep, err := v.ValidateDevice(facts, tbl, gen.ForDevice(id))
+				for _, sc := range ch.work {
+					rep, err := v.CheckScope(facts, gen, src, sc)
 					outMu.Lock()
 					if err != nil {
 						errs = append(errs, err)

@@ -105,7 +105,7 @@ func TestChunked(t *testing.T) {
 	for i := range devs {
 		devs[i] = topology.DeviceID(i)
 	}
-	chunks := chunked(4, devs)
+	chunks := chunked(4, rcdc.WholeDevices(devs))
 	if len(chunks) != 3 {
 		t.Fatalf("37 devices → %d chunks, want 3", len(chunks))
 	}
@@ -114,7 +114,7 @@ func TestChunked(t *testing.T) {
 		if c.owner != 4 {
 			t.Fatalf("owner = %d, want 4", c.owner)
 		}
-		total += len(c.devs)
+		total += len(c.work)
 	}
 	if total != 37 {
 		t.Fatalf("chunks cover %d devices, want 37", total)
@@ -178,7 +178,7 @@ func TestRunMatchesValidator(t *testing.T) {
 			if wantErrs != nil {
 				t.Fatal(wantErrs)
 			}
-			got, errs := c.Run(&rcdc.Validator{}, facts, gen, devs)
+			got, errs := c.Run(&rcdc.Validator{}, facts, gen, rcdc.WholeDevices(devs))
 			if len(errs) > 0 {
 				t.Fatalf("n=%d step %d: %v", n, step, errs)
 			}
